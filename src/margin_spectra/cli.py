@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dist import DistributionSpec, paper_example
+from .dist import SEED_LIMIT, DistributionSpec, paper_example
 from .learner import (
     empirical_sample_complexity,
     learning_curve,
@@ -76,6 +76,9 @@ def validate_config(command: str, raw: dict) -> ExperimentConfig:
         raise ConfigError(f"missing config fields: {sorted(missing)}")
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    seed = raw.get("seed", 0)
+    if type(seed) is not int or not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"seed must be an integer in [0, 2**63), got {seed!r}")
     params = {k: v for k, v in raw.items() if k != "schema_version"}
     return ExperimentConfig(command=command, params=params)
 

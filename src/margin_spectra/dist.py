@@ -36,6 +36,10 @@ RELATIVE_MOMENTS = {
 }
 
 
+# Seeds and streams are Philox key words; values from 2**63 up alias others.
+SEED_LIMIT = 2**63
+
+
 class DistSpecError(ValueError):
     """Invalid distribution specification or parameters."""
 
@@ -157,8 +161,20 @@ class DistributionSpec:
 
 @dataclass(frozen=True)
 class LabeledSample:
+    """Points (rows) with +-1 labels; checks shapes and label values."""
+
     points: np.ndarray
     labels: np.ndarray
+
+    def __post_init__(self):
+        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        y = np.atleast_1d(np.asarray(self.labels, dtype=float))
+        if pts.shape[0] != y.size:
+            raise ValueError("points/labels length mismatch")
+        if not np.all(np.abs(y) == 1.0):
+            raise ValueError("labels must be +-1")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "labels", y)
 
     @property
     def m(self) -> int:
@@ -166,8 +182,7 @@ class LabeledSample:
 
 
 def _point_rng(seed: int, stream: int, index: int) -> np.random.Generator:
-    bg = np.random.Philox(key=[seed & (2**64 - 1), stream & (2**64 - 1)],
-                          counter=[0, 0, 0, index])
+    bg = np.random.Philox(key=[seed, stream], counter=[0, 0, 0, index])
     return np.random.Generator(bg)
 
 
@@ -193,9 +208,16 @@ def _sign(x: float) -> float:
 
 
 def sample(spec: DistributionSpec, m: int, seed: int, stream: int = 0) -> LabeledSample:
-    """Draw m labeled points, deterministic given (spec, m, seed, stream)."""
+    """Draw m labeled points, deterministic given (spec, m, seed, stream).
+
+    seed and stream must be integers in [0, 2**63): outside that range the
+    Philox key would wrap, and distinct seeds would give the same sample.
+    """
     if m < 1:
         raise DistSpecError(f"m must be positive, got {m}")
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not isinstance(value, (int, np.integer)) or not 0 <= value < SEED_LIMIT:
+            raise DistSpecError(f"{name} must be an integer in [0, 2**63), got {value!r}")
     d = spec.d
     scale = np.sqrt(spec.variances)
     kinds = [l.kind for l in spec.laws]

@@ -19,8 +19,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .dist import DistributionSpec, sample
-from .optim import ConstraintSystem, min_norm_interpolator, solve_min_norm_ineq
+from .dist import DistributionSpec, LabeledSample, sample
+from .optim import (
+    UNIT_BALL_TOL,
+    ConstraintSystem,
+    min_norm_interpolator,
+    solve_min_norm_ineq,
+)
 from .shatter import SampleMatrix, shatter_at_origin
 
 EXACT_CAP = 16
@@ -37,26 +42,6 @@ class NotShatteredError(RuntimeError):
 
 class DegenerateSampleError(ValueError):
     """Sample does not admit the requested learner (missing class, zero means)."""
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    points: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        y = np.atleast_1d(np.asarray(self.labels, dtype=float))
-        if pts.shape[0] != y.size:
-            raise ValueError("points/labels length mismatch")
-        if not np.all(np.abs(y) == 1.0):
-            raise ValueError("labels must be +-1")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "labels", y)
-
-    @property
-    def m(self) -> int:
-        return self.points.shape[0]
 
 
 @dataclass(frozen=True)
@@ -99,7 +84,7 @@ def _pattern_feasible(S: LabeledSample, pattern, gamma: float):
     idx = list(pattern)
     rows = S.labels[idx, None] * S.points[idx]
     sol = solve_min_norm_ineq(ConstraintSystem(rows, np.full(len(idx), gamma)))
-    if sol.status != "optimal" or sol.objective > 1.0 + 1e-8:
+    if sol.status != "optimal" or sol.objective > 1.0 + UNIT_BALL_TOL:
         return None
     return sol.w
 
@@ -237,8 +222,7 @@ def estimate_lstar(spec: DistributionSpec, gamma: float, seed: int,
             w = spec.rotation @ w
     else:
         return None
-    S = sample(spec, draws, seed, stream=0x1057a7)
-    return margin_loss(w, LabeledSample(S.points, S.labels), gamma)
+    return margin_loss(w, sample(spec, draws, seed, stream=0x1057a7), gamma)
 
 
 def _run_learner(learner_kind: str, train: LabeledSample, test: LabeledSample,
@@ -273,11 +257,8 @@ def learning_curve(spec: DistributionSpec, gamma: float, m_grid, trials: int,
     """Mean test error vs sample size, with equal train and test sizes."""
 
     def one(m: int, t: int) -> float:
-        train_s = sample(spec, m, seed, stream=2 * t)
-        test_s = sample(spec, m, seed, stream=2 * t + 1)
-        return _run_learner(learner_kind,
-                            LabeledSample(train_s.points, train_s.labels),
-                            LabeledSample(test_s.points, test_s.labels),
+        return _run_learner(learner_kind, sample(spec, m, seed, stream=2 * t),
+                            sample(spec, m, seed, stream=2 * t + 1),
                             gamma, seed=seed * 1_000_003 + t)
 
     entries = []

@@ -1,9 +1,10 @@
-"""Minimum-norm solvers: exact interpolation via the Gram inverse and a small
-dense active-set method for minimum-norm points under linear inequalities.
+"""Minimum-norm solvers: exact interpolation via the Gram inverse, and
+minimum-norm points under linear inequalities as a least-distance program
+reduced to one non-negative least-squares solve.
 
-Both solvers share one symmetric eigendecomposition of the Gram matrix, so the
-singularity diagnostic and the quadratic form y' (XX')^{-1} y come from the
-same factorization.
+The interpolation routines share one symmetric eigendecomposition of the Gram
+matrix, so the singularity diagnostic and the quadratic form y' (XX')^{-1} y
+come from the same factorization.
 """
 
 from __future__ import annotations
@@ -11,10 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import nnls
 
 SINGULARITY_RATIO = 1e-10
 FEAS_TOL = 1e-8
+# NNLS residual norm below which a least-distance program is infeasible.
+LDP_TOL = 1e-10
+# Slack on ||w||^2 <= 1 when a min-norm solution must fit in the unit ball.
+UNIT_BALL_TOL = 1e-8
 
 
 class SingularGramError(np.linalg.LinAlgError):
@@ -26,10 +31,6 @@ class SingularGramError(np.linalg.LinAlgError):
             f"Gram matrix singular or near-singular: smallest/largest eigenvalue "
             f"ratio {ratio:.3e} <= {SINGULARITY_RATIO:.0e}"
         )
-
-
-class IterationCapError(RuntimeError):
-    """Active-set iteration cap exceeded (signals degeneracy)."""
 
 
 @dataclass(frozen=True)
@@ -114,82 +115,42 @@ def min_norm_quadratic_form(X: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(c * c / evals))
 
 
-def _independent_rows(A: np.ndarray, idx: list[int]) -> list[int]:
-    """Greedy subset of `idx` whose rows of A are linearly independent."""
-    keep: list[int] = []
-    for i in idx:
-        trial = A[keep + [i]]
-        if np.linalg.matrix_rank(trial, tol=1e-10) == len(keep) + 1:
-            keep.append(i)
-    return keep
+def solve_min_norm_ineq(cs: ConstraintSystem) -> QpSolution:
+    """Minimize ||w||^2 subject to a_i . w >= b_i as a least-distance program.
 
-
-def _equality_min_norm(A_w: np.ndarray, b_w: np.ndarray):
-    """Min-norm w with A_w w = b_w, plus the expansion coefficients alpha."""
-    G = A_w @ A_w.T
-    alpha = np.linalg.solve(G, b_w)
-    return A_w.T @ alpha, alpha
-
-
-def solve_min_norm_ineq(cs: ConstraintSystem, max_iter: int | None = None) -> QpSolution:
-    """Minimize ||w||^2 subject to a_i . w >= b_i by primal active-set iteration.
-
-    Feasibility is established first by a phase-1 LP; the active-set loop then
-    moves between equality-constrained minimizers, adding the blocking
-    constraint (lowest index among ties) and dropping the most negative
-    multiplier.
+    Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23): with
+    E = [A'; b'] and f = e_{d+1}, solve u = argmin_{u >= 0} ||E u - f|| and set
+    r = E u - f.  The system is feasible iff r != 0; then w = -r[:d] / r[d],
+    r[d] = -||r||^2 and ||r||^2 = 1 / (1 + ||w||^2).  A residual norm below
+    LDP_TOL is read as infeasible, so a system whose min-norm solution is
+    longer than about 1 / LDP_TOL is reported infeasible too.  The constraints
+    with u_i > 0 are active at the optimum: w is polished by a min-norm
+    least-squares solve on them, and their multipliers are
+    lambda = -2 u / r[d] = 2 u / ||r||^2.  A w that misses a constraint by
+    more than FEAS_TOL (relative to max(1, |b_i|)) is reported infeasible.
     """
     A, b = cs.matrix, cs.bounds
     n, d = cs.n, cs.d
-    if max_iter is None:
-        max_iter = 100 * (n + d)
-    if n == 0:
+    infeasible = QpSolution(w=None, objective=float("inf"), active_set=[],
+                            kkt_residual=float("inf"), status="infeasible")
+    if n == 0:  # nnls fails on a matrix with no columns
         return QpSolution(w=np.zeros(d), objective=0.0, active_set=[],
                           kkt_residual=0.0, status="optimal")
 
-    lp = linprog(np.zeros(d), A_ub=-A, b_ub=-b, bounds=[(None, None)] * d, method="highs")
-    if lp.status != 0:
-        return QpSolution(w=None, objective=float("inf"), active_set=[],
-                          kkt_residual=float("inf"), status="infeasible")
-    w = np.asarray(lp.x, dtype=float)
-
-    scale = np.maximum(1.0, np.abs(b))
-    slack = A @ w - b
-    working = _independent_rows(A, [i for i in range(n) if slack[i] <= FEAS_TOL * scale[i]])
-
-    for _ in range(max_iter):
-        if working:
-            w_star, alpha = _equality_min_norm(A[working], b[working])
-        else:
-            w_star, alpha = np.zeros(d), np.zeros(0)
-        p = w_star - w
-        if np.linalg.norm(p) <= 1e-11 * max(1.0, np.linalg.norm(w)):
-            # at the equality-constrained optimum; check multiplier signs
-            lam = 2.0 * alpha
-            if lam.size == 0 or np.min(lam) >= -FEAS_TOL:
-                w = w_star
-                resid = np.linalg.norm(2.0 * w - (A[working].T @ lam if working else 0.0))
-                return QpSolution(w=w, objective=float(w @ w),
-                                  active_set=sorted(working),
-                                  kkt_residual=float(resid), status="optimal")
-            working.pop(int(np.argmin(lam)))
-            continue
-        # step toward w_star, blocked by the nearest violated constraint
-        t = 1.0
-        blocker = None
-        for i in range(n):
-            if i in working:
-                continue
-            ap = A[i] @ p
-            if ap < -1e-13 * max(1.0, np.linalg.norm(A[i]) * np.linalg.norm(p)):
-                ti = max((b[i] - A[i] @ w) / ap, 0.0)
-                if ti < t - 1e-12:
-                    t, blocker = ti, i
-        w = w + t * p
-        if blocker is not None:
-            working.append(blocker)
-            working.sort()
-    raise IterationCapError(f"active-set iteration cap {max_iter} exceeded")
+    E = np.vstack([A.T, b])
+    f = np.zeros(d + 1)
+    f[d] = 1.0
+    u, rnorm = nnls(E, f)
+    if rnorm < LDP_TOL:
+        return infeasible
+    support = [int(i) for i in np.flatnonzero(u > 0)]
+    w = np.linalg.lstsq(A[support], b[support], rcond=None)[0]
+    if np.any(A @ w < b - FEAS_TOL * np.maximum(1.0, np.abs(b))):
+        return infeasible
+    lam = 2.0 * u[support] / (rnorm * rnorm)
+    resid = np.linalg.norm(2.0 * w - A[support].T @ lam)
+    return QpSolution(w=w, objective=float(w @ w), active_set=support,
+                      kkt_residual=float(resid), status="optimal")
 
 
 def kkt_check(sol: QpSolution, cs: ConstraintSystem) -> KktReport:

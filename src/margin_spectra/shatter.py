@@ -18,6 +18,7 @@ import numpy as np
 
 from .optim import (
     SINGULARITY_RATIO,
+    UNIT_BALL_TOL,
     ConstraintSystem,
     min_norm_interpolator,
     solve_min_norm_ineq,
@@ -177,7 +178,7 @@ def shatter_with_offsets(X: SampleMatrix | np.ndarray, r: np.ndarray, gamma: flo
         y = 1.0 - 2.0 * ((mask >> np.arange(m)) & 1)
         cs = ConstraintSystem(y[:, None] * X.rows, gamma + y * r)
         sol = solve_min_norm_ineq(cs)
-        if sol.status != "optimal" or sol.objective > 1.0 + 1e-8:
+        if sol.status != "optimal" or sol.objective > 1.0 + UNIT_BALL_TOL:
             return False
     return True
 

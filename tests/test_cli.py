@@ -133,6 +133,22 @@ class TestMain:
             "gamma": 1.0, "out": str(tmp_path / "out")})
         assert main(["kgamma", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize("seed", [-3, 2**63, 1.5, "7", True])
+    def test_bad_seed_exit_two(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, "dist": {"example": "bernoulli", "d": 8},
+            "gamma": 1.0, "m": 3, "trials": 10, "seed": seed,
+            "out": str(tmp_path / "out")})
+        assert main(["eigen-prob", "--config", cfg]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_bad_seed_override_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, "dist": {"example": "bernoulli", "d": 8},
+            "gamma": 1.0, "m": 3, "trials": 10, "seed": 1,
+            "out": str(tmp_path / "out")})
+        assert main(["eigen-prob", "--config", cfg, "--seed", "-4"]) == 2
+
     def test_seed_and_workers_overrides(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {
             "schema_version": 1, "dist": {"example": "bernoulli", "d": 8},

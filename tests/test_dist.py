@@ -83,6 +83,17 @@ class TestSampling:
         with pytest.raises(DistSpecError):
             sample(gaussian_spec([1.0]), 0, seed=1)
 
+    @pytest.mark.parametrize("seed, stream", [
+        (-3, 0), (2**63, 0), (2**63 + 7, 0), (1.5, 0), (1, -1), (1, 2**63)])
+    def test_rejects_seed_or_stream_outside_key_range(self, seed, stream):
+        # out of [0, 2**63) the Philox key wraps: -3 would alias -4
+        with pytest.raises(DistSpecError):
+            sample(gaussian_spec([1.0]), 3, seed=seed, stream=stream)
+
+    def test_accepts_largest_seed_and_stream(self):
+        S = sample(gaussian_spec([1.0]), 3, seed=2**63 - 1, stream=2**63 - 1)
+        assert S.m == 3
+
 
 class TestLabels:
     def test_halfspace_sign_convention(self):

@@ -24,11 +24,12 @@ from margin_spectra.learner import (
     margin_loss,
     write_curve_csv,
 )
-from margin_spectra.optim import ConstraintSystem, solve_min_norm_ineq
+from margin_spectra.optim import UNIT_BALL_TOL, ConstraintSystem
+from oracles import brute_force_min_norm
 
 
 def min_margin_loss_oracle(S, gamma):
-    """Oracle: try every satisfaction pattern via independent feasibility
+    """Oracle: try every satisfaction pattern via brute-force min-norm
     solves; return the smallest achievable fraction of unmet margins."""
     best = 1.0
     for size in range(S.m, -1, -1):
@@ -40,9 +41,8 @@ def min_margin_loss_oracle(S, gamma):
                 best = min(best, 1.0)
                 continue
             rows = S.labels[idx, None] * S.points[idx]
-            sol = solve_min_norm_ineq(
-                ConstraintSystem(rows, np.full(len(idx), gamma)))
-            if sol.status == "optimal" and sol.objective <= 1.0 + 1e-8:
+            w = brute_force_min_norm(ConstraintSystem(rows, np.full(len(idx), gamma)))
+            if w is not None and w @ w <= 1.0 + UNIT_BALL_TOL:
                 best = min(best, 1.0 - size / S.m)
                 break
     return best

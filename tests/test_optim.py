@@ -1,9 +1,8 @@
-from itertools import chain, combinations
-
 import numpy as np
 import pytest
 
 from margin_spectra.optim import (
+    LDP_TOL,
     ConstraintSystem,
     SingularGramError,
     kkt_check,
@@ -11,26 +10,21 @@ from margin_spectra.optim import (
     min_norm_quadratic_form,
     solve_min_norm_ineq,
 )
+from oracles import brute_force_min_norm
 
 
-def brute_force_min_norm(cs: ConstraintSystem):
-    """Oracle: enumerate every active subset, solve the equality system, keep
-    the feasible candidate of minimum norm."""
-    A, b, n, d = cs.matrix, cs.bounds, cs.n, cs.d
-    best = None
-    for subset in chain.from_iterable(combinations(range(n), r) for r in range(n + 1)):
-        idx = list(subset)
-        if not idx:
-            w = np.zeros(d)
-        else:
-            G = A[idx] @ A[idx].T
-            if np.linalg.matrix_rank(G, tol=1e-10) < len(idx):
-                continue
-            w = A[idx].T @ np.linalg.solve(G, b[idx])
-        if np.all(A @ w >= b - 1e-8 * np.maximum(1.0, np.abs(b))):
-            if best is None or w @ w < best @ best:
-                best = w
-    return best
+def oracle_systems(rng):
+    """Random systems, each with the degenerate variants an LDP solve must
+    handle, then one feasible system with a large-norm solution."""
+    for _ in range(200):
+        n, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        A, b = rng.standard_normal((n, d)), rng.standard_normal(n)
+        yield A, b
+        yield np.vstack([A, A[:1]]), np.append(b, b[0])  # duplicate row
+        yield np.vstack([A, -A[:1]]), np.append(b, -b[0])  # equality as a pair
+        yield A, -np.abs(b)  # all b <= 0: the answer is w = 0
+        yield np.vstack([A, np.zeros(d)]), np.append(b, 1.0)  # 0 >= 1: infeasible
+    yield np.array([[1e-3, 0.0], [0.0, 1e-3], [1.0, 1.0]]), np.ones(3)
 
 
 class TestInterpolator:
@@ -105,12 +99,9 @@ class TestMinNormIneq:
         assert sol.active_set == [0]
 
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(7)
         checked = 0
-        for _ in range(200):
-            n, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-            cs = ConstraintSystem(rng.standard_normal((n, d)),
-                                  rng.standard_normal(n))
+        for A, b in oracle_systems(np.random.default_rng(7)):
+            cs = ConstraintSystem(A, b)
             sol = solve_min_norm_ineq(cs)
             oracle = brute_force_min_norm(cs)
             if oracle is None:
@@ -120,6 +111,16 @@ class TestMinNormIneq:
                 assert sol.objective == pytest.approx(oracle @ oracle, abs=1e-6)
                 checked += 1
         assert checked > 50
+
+    @pytest.mark.parametrize("factor, status", [(0.1, "optimal"), (10.0, "infeasible")])
+    def test_ldp_tol_bounds_solution_norm(self, factor, status):
+        # w >= B has ||r||^2 = 1 / (1 + B^2), so B = factor / LDP_TOL lands
+        # on one side of the tolerance.
+        bound = factor / LDP_TOL
+        sol = solve_min_norm_ineq(ConstraintSystem(np.array([[1.0]]), [bound]))
+        assert sol.status == status
+        if status == "optimal":
+            assert sol.w == pytest.approx([bound])
 
     def test_equality_as_paired_inequalities(self):
         rng = np.random.default_rng(3)
