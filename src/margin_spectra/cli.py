@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -63,6 +64,18 @@ _SCHEMAS = {
 }
 
 
+# field -> (accepts the value, what it must be); JSON true/false fail every rule
+_FIELD_RULES = {
+    "seed": (lambda v: type(v) is int and 0 <= v < SEED_LIMIT, "an integer in [0, 2**63)"),
+    "k": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    **dict.fromkeys(("trials", "m", "m_max", "max_subset", "workers", "d"),
+                    (lambda v: type(v) is int and v >= 1, "an integer >= 1")),
+    "gamma": (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a positive number"),
+    **dict.fromkeys(("beta", "epsilon"),
+                    (lambda v: type(v) in (int, float) and 0 < v < 1, "a number in (0, 1)")),
+}
+
+
 def validate_config(command: str, raw: dict) -> ExperimentConfig:
     if command not in _SCHEMAS:
         raise ConfigError(f"unknown subcommand {command!r}")
@@ -76,9 +89,12 @@ def validate_config(command: str, raw: dict) -> ExperimentConfig:
         raise ConfigError(f"missing config fields: {sorted(missing)}")
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    seed = raw.get("seed", 0)
-    if type(seed) is not int or not 0 <= seed < SEED_LIMIT:
-        raise ConfigError(f"seed must be an integer in [0, 2**63), got {seed!r}")
+    for name, (ok, what) in _FIELD_RULES.items():
+        if name in raw and not ok(raw[name]):
+            raise ConfigError(f"{name} must be {what}, got {raw[name]!r}")
+    dist = raw.get("dist")
+    if isinstance(dist, dict) and "example" in dist and "d" not in dist:
+        raise ConfigError("a stock-example dist needs its dimension 'd'")
     params = {k: v for k, v in raw.items() if k != "schema_version"}
     return ExperimentConfig(command=command, params=params)
 

@@ -186,21 +186,11 @@ def _point_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _draw_unit(rng: np.random.Generator, law: CoordinateLaw):
-    """One unit-variance draw; mixtures also return the component sign."""
-    if law.kind == GAUSSIAN:
-        return rng.standard_normal(), None
-    if law.kind == RADEMACHER:
-        return float(2 * rng.integers(0, 2) - 1), None
-    if law.kind == UNIFORM_SYMMETRIC:
-        a = math.sqrt(3.0)
-        return rng.uniform(-a, a), None
-    if law.kind == GAUSSIAN_MIXTURE_SYMMETRIC:
-        v = float(law.params["v"])
-        s = float(2 * rng.integers(0, 2) - 1)
-        z = rng.standard_normal()
-        return (s * v + z) / math.sqrt(1.0 + v * v), s
-    raise DistSpecError(f"unknown law kind {law.kind!r}")
+def _draw_mixture(rng: np.random.Generator, v: float):
+    """One unit-variance draw (s v + z) / sqrt(1 + v^2) and its component sign s."""
+    s = float(2 * rng.integers(0, 2) - 1)
+    z = rng.standard_normal()
+    return (s * v + z) / math.sqrt(1.0 + v * v), s
 
 
 def _sign(x: float) -> float:
@@ -240,7 +230,7 @@ def sample(spec: DistributionSpec, m: int, seed: int, stream: int = 0) -> Labele
             x[uni_idx] = rng.uniform(-a, a, uni_idx.size)
         component = None
         for j in mix_idx:
-            val, s = _draw_unit(rng, spec.laws[j])
+            val, s = _draw_mixture(rng, float(spec.laws[j].params["v"]))
             x[j] = val
             if component is None:
                 component = s

@@ -12,8 +12,9 @@ while misclassifying every test point.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -26,6 +27,7 @@ from .optim import (
     min_norm_interpolator,
     solve_min_norm_ineq,
 )
+from .randmat import map_trials
 from .shatter import SampleMatrix, shatter_at_origin
 
 EXACT_CAP = 16
@@ -263,18 +265,11 @@ def learning_curve(spec: DistributionSpec, gamma: float, m_grid, trials: int,
 
     entries = []
     for m in m_grid:
-        if workers <= 1:
-            errs = [one(m, t) for t in range(trials)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                errs = list(ex.map(lambda t: one(m, t), range(trials)))
-        errs = np.array(errs)
+        errs = np.array(map_trials(lambda t: one(m, t), trials, workers))
         entries.append(CurveEntry(m=int(m), mean_test_error=float(errs.mean()),
                                   std_error=float(errs.std(ddof=1) / math.sqrt(trials))
                                   if trials > 1 else 0.0,
                                   trials=trials))
-    import hashlib
-    import json
     digest = hashlib.sha256(
         json.dumps(spec.to_json(), sort_keys=True).encode()).hexdigest()[:16]
     return LearningCurve(gamma=float(gamma), entries=tuple(entries),

@@ -1,10 +1,10 @@
-"""Minimum-norm solvers: exact interpolation via the Gram inverse, and
-minimum-norm points under linear inequalities as a least-distance program
-reduced to one non-negative least-squares solve.
+"""Gram eigen-solves and minimum-norm solvers.
 
-The interpolation routines share one symmetric eigendecomposition of the Gram
-matrix, so the singularity diagnostic and the quadratic form y' (XX')^{-1} y
-come from the same factorization.
+Every eigen-solve of a Gram matrix XX' in the package runs here: `gram_eig`
+(eigenpairs and the singularity check) for exact interpolation through the
+Gram inverse and for the shattering enumeration, `gram_lambda_min` for the
+smallest-eigenvalue tests.  Minimum-norm points under linear inequalities are
+a least-distance program reduced to one non-negative least-squares solve.
 """
 
 from __future__ import annotations
@@ -82,15 +82,20 @@ class KktReport:
     multiplier_sign_ok: bool
 
 
-def _gram_eig(X: np.ndarray):
-    """Eigendecomposition of XX' with a singularity check on the eigenvalue ratio."""
-    G = X @ X.T
-    evals, evecs = np.linalg.eigh(G)
+def gram_eig(X: np.ndarray):
+    """Ascending eigenpairs of XX'; raises SingularGramError(ratio) when the
+    smallest/largest eigenvalue ratio is at most SINGULARITY_RATIO."""
+    evals, evecs = np.linalg.eigh(X @ X.T)
     lam_max = float(evals[-1]) if evals.size else 0.0
     ratio = 0.0 if lam_max <= 0 else float(evals[0]) / lam_max
     if ratio <= SINGULARITY_RATIO:
         raise SingularGramError(ratio)
     return evals, evecs
+
+
+def gram_lambda_min(X: np.ndarray) -> float:
+    """Smallest eigenvalue of XX' (eigenvalues only, no eigenvectors)."""
+    return float(np.linalg.eigvalsh(X @ X.T)[0])
 
 
 def min_norm_interpolator(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -101,7 +106,7 @@ def min_norm_interpolator(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    evals, evecs = _gram_eig(X)
+    evals, evecs = gram_eig(X)
     ginv_y = evecs @ ((evecs.T @ y) / evals)
     return X.T @ ginv_y
 
@@ -110,7 +115,7 @@ def min_norm_quadratic_form(X: np.ndarray, y: np.ndarray) -> float:
     """y' (XX')^{-1} y, the squared norm of the least-norm interpolator."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    evals, evecs = _gram_eig(X)
+    evals, evecs = gram_eig(X)
     c = evecs.T @ y
     return float(np.sum(c * c / evals))
 

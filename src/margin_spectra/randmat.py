@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dist import DistributionSpec, sample
+from .optim import gram_lambda_min
+from .shatter import lambda_min_sufficient
 
 
 class MUnderlineNotFound(RuntimeError):
@@ -72,13 +75,9 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return lo, hi
 
 
-def _lambda_min(points: np.ndarray) -> float:
-    G = points @ points.T
-    return float(np.linalg.eigvalsh(G)[0])
-
-
-def _map_trials(fn, trials: int, workers: int):
-    """Apply fn to each trial index; result order fixed by index."""
+def map_trials(fn, trials: int, workers: int):
+    """Apply fn to each trial index on at most one thread per CPU; order by index."""
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(t) for t in range(trials)]
     with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -90,13 +89,11 @@ def estimate_shatter_prob(spec: DistributionSpec, gamma: float, m: int,
     """P[lambda_min(XX') >= m gamma^2] over `trials` independent m-samples."""
     if trials < 1 or m < 1:
         raise ValueError("trials and m must be >= 1")
-    thresh = m * gamma * gamma
 
     def one(t: int) -> bool:
-        pts = sample(spec, m, seed, stream=t).points
-        return _lambda_min(pts) >= thresh
+        return lambda_min_sufficient(sample(spec, m, seed, stream=t).points, gamma)
 
-    successes = sum(_map_trials(one, trials, workers))
+    successes = sum(map_trials(one, trials, workers))
     lo, hi = wilson_interval(successes, trials)
     return EigenProbEstimate(m=m, gamma=float(gamma), prob=successes / trials,
                              ci_low=lo, ci_high=hi, trials=trials, seed=seed)
@@ -110,10 +107,9 @@ def _trial_threshold(spec: DistributionSpec, gamma: float, m_max: int,
     indicator is non-increasing in m pathwise under nested sampling.
     """
     pts = sample(spec, m_max, seed, stream=stream).points
-    g2 = gamma * gamma
 
     def success(m: int) -> bool:
-        return _lambda_min(pts[:m]) >= m * g2
+        return lambda_min_sufficient(pts[:m], gamma)
 
     if success(m_max):
         return m_max + 1
@@ -133,9 +129,8 @@ def m_underline(spec: DistributionSpec, gamma: float, m_max: int,
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
 
-    thresholds = _map_trials(
-        lambda t: _trial_threshold(spec, gamma, m_max, seed, t), trials, workers)
-    thresholds = np.array(thresholds)
+    thresholds = np.array(map_trials(
+        lambda t: _trial_threshold(spec, gamma, m_max, seed, t), trials, workers))
 
     estimates = []
     first_failing = None
@@ -181,10 +176,9 @@ def edge_mc_compare(spec: DistributionSpec, beta: float, d: int,
 
     def one(t: int) -> float:
         pts = sample(spec, m, seed, stream=t).points
-        return _lambda_min(pts) / d
+        return gram_lambda_min(pts) / d
 
-    vals = _map_trials(one, trials, workers)
-    emp = float(np.mean(vals))
+    emp = float(np.mean(map_trials(one, trials, workers)))
     return EdgeCompareReport(empirical_mean=emp, predicted=predicted,
                              rel_error=abs(emp - predicted) / predicted)
 

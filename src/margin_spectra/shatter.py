@@ -17,13 +17,14 @@ from itertools import combinations
 import numpy as np
 
 from .optim import (
-    SINGULARITY_RATIO,
     UNIT_BALL_TOL,
     ConstraintSystem,
+    SingularGramError,
+    gram_eig,
+    gram_lambda_min,
     min_norm_interpolator,
     solve_min_norm_ineq,
 )
-from .spectral import set_limit_certificate
 
 DEFAULT_CAP = 20
 SUBSET_BUDGET = 10_000_000
@@ -113,12 +114,12 @@ def shatter_at_origin(X: SampleMatrix | np.ndarray, gamma: float,
     m = X.m
     if m > cap:
         raise EnumerationCapError(f"m={m} exceeds enumeration cap {cap}")
-    Xs = X.rows / gamma
-    G = Xs @ Xs.T
-    evals, evecs = np.linalg.eigh(G)
-    lam_max = float(evals[-1])
-    ratio = 0.0 if lam_max <= 0 else float(evals[0]) / lam_max
-    if m > X.d or ratio <= SINGULARITY_RATIO:
+    try:
+        evals, evecs = gram_eig(X.rows / gamma)
+        ratio = float(evals[0]) / float(evals[-1])
+    except SingularGramError as e:
+        evals, ratio = None, e.ratio
+    if evals is None or m > X.d:
         return ShatterCertificate(shattered=False, gamma=float(gamma),
                                   worst_labeling=None, worst_value=math.inf,
                                   gram_condition=ratio)
@@ -155,9 +156,7 @@ def lambda_min_sufficient(X: SampleMatrix | np.ndarray, gamma: float) -> bool:
     """
     if not isinstance(X, SampleMatrix):
         X = SampleMatrix(X)
-    G = X.rows @ X.rows.T
-    lam_min = float(np.linalg.eigvalsh(G)[0])
-    return lam_min >= X.m * gamma * gamma
+    return gram_lambda_min(X.rows) >= X.m * gamma * gamma
 
 
 def shatter_with_offsets(X: SampleMatrix | np.ndarray, r: np.ndarray, gamma: float,
@@ -184,16 +183,17 @@ def shatter_with_offsets(X: SampleMatrix | np.ndarray, r: np.ndarray, gamma: flo
 
 
 def fat_shattering_upper_bound(points: SampleMatrix | np.ndarray, gamma: float) -> int:
-    """floor of min over k of (3/2)(b_k / gamma^2 + k + 1), b_k from the
-    top-k principal-subspace certificate."""
+    """floor of min over k of (3/2)(b_k / gamma^2 + k + 1), b_k the b of
+    spectral.set_limit_certificate(points, k), all read from one thin SVD."""
     if not isinstance(points, SampleMatrix):
         points = SampleMatrix(points)
-    g2 = gamma * gamma
-    best = math.inf
-    for k in range(points.d + 1):
-        cert = set_limit_certificate(points.rows, k)
-        best = min(best, 1.5 * (cert.b / g2 + k + 1))
-    return int(math.floor(best + 1e-9))
+    u, s, _ = np.linalg.svd(points.rows, full_matrices=False)
+    # squared norms off the top-k singular subspace; b_k = 0 from k = len(s)
+    # on, where larger k only raise the bound
+    tails = np.cumsum(((u * s) ** 2)[:, ::-1], axis=1)[:, ::-1]
+    b = np.append(tails.max(axis=0), 0.0)
+    bound = 1.5 * (b / (gamma * gamma) + np.arange(b.size) + 1)
+    return int(math.floor(float(bound.min()) + 1e-9))
 
 
 def fat_shattering_search(points: SampleMatrix | np.ndarray, gamma: float,

@@ -1,10 +1,12 @@
 """Reference implementations the test modules check the package against."""
 
+import math
 from itertools import chain, combinations
 
 import numpy as np
 
 from margin_spectra.optim import ConstraintSystem
+from margin_spectra.spectral import set_limit_certificate
 
 
 def brute_force_min_norm(cs: ConstraintSystem):
@@ -25,3 +27,13 @@ def brute_force_min_norm(cs: ConstraintSystem):
             if best is None or w @ w < best @ best:
                 best = w
     return best
+
+
+def projection_limit_bound(points: np.ndarray, gamma: float) -> int:
+    """Oracle: floor of min over k of 1.5 (b_k / gamma^2 + k + 1), with one
+    set_limit_certificate (one full SVD) per k = 0..d."""
+    g2 = gamma * gamma
+    best = math.inf
+    for k in range(points.shape[1] + 1):
+        best = min(best, 1.5 * (set_limit_certificate(points, k).b / g2 + k + 1))
+    return int(math.floor(best + 1e-9))

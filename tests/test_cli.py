@@ -142,6 +142,46 @@ class TestMain:
         assert main(["eigen-prob", "--config", cfg]) == 2
         assert "seed" in capsys.readouterr().err
 
+    BASE_CONFIGS = {
+        "eigen-prob": {"dist": {"example": "bernoulli", "d": 8}, "gamma": 1.0,
+                       "m": 3, "trials": 10, "seed": 1, "workers": 2},
+        "m-underline": {"dist": {"example": "bernoulli", "d": 8}, "gamma": 1.0,
+                        "m_max": 6, "trials": 10, "seed": 1},
+        "edge-check": {"dist": {"example": "bernoulli", "d": 8}, "beta": 0.5,
+                       "d": 8, "trials": 2, "seed": 1},
+        "limit-cert": {"points_csv": "p.csv", "k": 1},
+        "fat-dim": {"points_csv": "p.csv", "gamma": 1.0, "max_subset": 2},
+        "sample-complexity": {"curve_csv": "c.csv", "lstar": 0.0, "epsilon": 0.1},
+    }
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("eigen-prob", "gamma", -1),
+        ("eigen-prob", "gamma", 0.0),
+        ("eigen-prob", "gamma", "1"),
+        ("eigen-prob", "gamma", float("nan")),
+        ("eigen-prob", "gamma", float("inf")),
+        ("eigen-prob", "trials", 0),
+        ("eigen-prob", "trials", 2.0),
+        ("eigen-prob", "trials", True),
+        ("eigen-prob", "m", 0),
+        ("eigen-prob", "workers", "two"),
+        ("eigen-prob", "workers", 0),
+        ("eigen-prob", "dist", {"example": "bernoulli"}),
+        ("m-underline", "m_max", 0),
+        ("edge-check", "beta", 1.0),
+        ("edge-check", "d", "eight"),
+        ("limit-cert", "k", -1),
+        ("fat-dim", "max_subset", 0),
+        ("sample-complexity", "epsilon", 0),
+    ])
+    def test_bad_config_value_exit_two(self, tmp_path, capsys, command, field, value):
+        good = {"schema_version": 1, **self.BASE_CONFIGS[command],
+                "out": str(tmp_path / "out")}
+        validate_config(command, good)
+        cfg = write_config(tmp_path, "cfg.json", {**good, field: value})
+        assert main([command, "--config", cfg]) == 2
+        assert field in capsys.readouterr().err
+
     def test_bad_seed_override_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {
             "schema_version": 1, "dist": {"example": "bernoulli", "d": 8},

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import projection_limit_bound
 
-from margin_spectra.optim import SingularGramError, min_norm_interpolator
+from margin_spectra.optim import SingularGramError, gram_eig, min_norm_interpolator
 from margin_spectra.shatter import (
     EnumerationCapError,
     SampleMatrix,
@@ -64,6 +65,14 @@ class TestShatterAtOrigin:
         cert = shatter_at_origin(np.array([[1.1, 0], [0, 10.0]]), 1.0)
         assert cert.shattered
         assert cert.worst_value == pytest.approx(1 / 1.21 + 1 / 100)
+
+    def test_singular_ratio_is_gram_eig_ratio(self):
+        X = np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 2.0], [1.0, 2.0, 0.5]])
+        with pytest.raises(SingularGramError) as err:
+            gram_eig(X / 0.7)
+        cert = shatter_at_origin(X, 0.7)
+        assert not cert.shattered
+        assert cert.gram_condition == err.value.ratio
 
     def test_m_exceeding_d_not_shattered(self):
         cert = shatter_at_origin(np.ones((3, 2)) + np.eye(3, 2), 1.0)
@@ -190,6 +199,31 @@ class TestUpperBound:
 
     def test_single_long_point(self):
         assert fat_shattering_upper_bound(np.array([[10.0, 0]]), 1.0) == 3
+
+    def test_matches_per_k_certificates(self):
+        rng = np.random.default_rng(2024)
+        seen = dict.fromkeys(["m>d", "m<d", "zero", "duplicate", "rank1"], 0)
+        mismatches = []
+        for i in range(1200):
+            m, d = int(rng.integers(2, 25)), int(rng.integers(1, 40))
+            X = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-1, 1)
+            kind = ("plain", "zero", "duplicate", "rank1")[i % 4]
+            if kind == "zero":
+                X[rng.integers(m)] = 0.0
+            elif kind == "duplicate":
+                X[rng.integers(1, m)] = X[0]
+            elif kind == "rank1":
+                X = np.outer(rng.standard_normal(m), rng.standard_normal(d))
+            seen[kind] = seen.get(kind, 0) + 1
+            seen["m>d"] += m > d
+            seen["m<d"] += m < d
+            gamma = 10.0 ** rng.uniform(-1, 1)
+            if fat_shattering_upper_bound(X, gamma) != projection_limit_bound(X, gamma):
+                mismatches.append((i, m, d, kind, gamma))
+        assert mismatches == []
+        assert min(seen.values()) >= 100
+        X = rng.standard_normal((20, 300))
+        assert fat_shattering_upper_bound(X, 1.0) == projection_limit_bound(X, 1.0)
 
 
 class TestFatShatteringSearch:
