@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dist import SEED_LIMIT, DistributionSpec, paper_example
+from .dist import PAPER_EXAMPLES, SEED_LIMIT, DistributionSpec, paper_example
 from .learner import (
+    LEARNER_KINDS,
     empirical_sample_complexity,
     learning_curve,
     write_curve_csv,
@@ -64,15 +65,34 @@ _SCHEMAS = {
 }
 
 
+def _positive_int(v) -> bool:
+    return type(v) is int and v >= 1
+
+
+def _positive_number(v) -> bool:
+    return type(v) in (int, float) and 0 < v < math.inf
+
+
 # field -> (accepts the value, what it must be); JSON true/false fail every rule
 _FIELD_RULES = {
     "seed": (lambda v: type(v) is int and 0 <= v < SEED_LIMIT, "an integer in [0, 2**63)"),
     "k": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     **dict.fromkeys(("trials", "m", "m_max", "max_subset", "workers", "d"),
-                    (lambda v: type(v) is int and v >= 1, "an integer >= 1")),
-    "gamma": (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a positive number"),
+                    (_positive_int, "an integer >= 1")),
+    **dict.fromkeys(("gamma", "budget_seconds"), (_positive_number, "a positive number")),
     **dict.fromkeys(("beta", "epsilon"),
                     (lambda v: type(v) in (int, float) and 0 < v < 1, "a number in (0, 1)")),
+    "lstar": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
+    "m_grid": (lambda v: type(v) is list and v != [] and all(map(_positive_int, v)),
+               "a non-empty list of integers >= 1"),
+    "learner": (lambda v: v in LEARNER_KINDS, f"one of {', '.join(LEARNER_KINDS)}"),
+}
+
+# the same for the fields of a stock-example dist
+_EXAMPLE_RULES = {
+    "example": (lambda v: v in PAPER_EXAMPLES, f"one of {', '.join(PAPER_EXAMPLES)}"),
+    "d": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
+    "v": (_positive_number, "a positive number"),
 }
 
 
@@ -93,8 +113,13 @@ def validate_config(command: str, raw: dict) -> ExperimentConfig:
         if name in raw and not ok(raw[name]):
             raise ConfigError(f"{name} must be {what}, got {raw[name]!r}")
     dist = raw.get("dist")
-    if isinstance(dist, dict) and "example" in dist and "d" not in dist:
-        raise ConfigError("a stock-example dist needs its dimension 'd'")
+    if isinstance(dist, dict) and "example" in dist:
+        needed = {"d"} | ({"v"} if dist["example"] == "gaussian_mixture" else set())
+        if needed - set(dist):
+            raise ConfigError(f"a stock-example dist needs {sorted(needed - set(dist))}")
+        for name, (ok, what) in _EXAMPLE_RULES.items():
+            if name in dist and not ok(dist[name]):
+                raise ConfigError(f"dist {name} must be {what}, got {dist[name]!r}")
     params = {k: v for k, v in raw.items() if k != "schema_version"}
     return ExperimentConfig(command=command, params=params)
 
@@ -111,7 +136,7 @@ def _dist_from_config(obj: dict) -> DistributionSpec:
 
 def run(config: ExperimentConfig, out_dir: Path) -> dict:
     """Dispatch one validated config; returns the experiment report."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
     p = config.params
     outputs: list[str] = []
@@ -194,7 +219,7 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
         "inputs_digest": _digest(config.to_json()),
         "outputs": outputs,
         "summary": summary,
-        "wall_clock_seconds": round(time.time() - t0, 3),
+        "wall_clock_seconds": round(time.perf_counter() - t0, 3),
         "library_version": __version__,
         "seed": p.get("seed"),
     }
@@ -213,13 +238,13 @@ def _read_curve_csv(path):
 def reproduce_examples(out_dir: Path, seed: int, workers: int = 1,
                        budget_seconds: float = 600.0):
     """Fixed-seed pipeline over the three stock example families."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     outputs: list[str] = []
     table: list[dict] = []
     incomplete = False
 
     def over_budget() -> bool:
-        return time.time() - t0 > budget_seconds
+        return time.perf_counter() - t0 > budget_seconds
 
     # (a) spiky spectrum: tiny adapted dimension despite huge trace
     spec = paper_example("spiky", d=1001)

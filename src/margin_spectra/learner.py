@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dist import DistributionSpec, LabeledSample, sample
+from .dist import DistributionSpec, DistSpecError, LabeledSample, _sample_rows, sample
 from .optim import (
     UNIT_BALL_TOL,
     ConstraintSystem,
@@ -32,6 +32,11 @@ from .shatter import SampleMatrix, shatter_at_origin
 
 EXACT_CAP = 16
 MARGIN_TOL = 1e-9
+LEARNER_KINDS = ("erm_exact", "erm_heuristic", "adversarial", "generative")
+# Points per draw in estimate_lstar, which bounds its memory at LSTAR_CHUNK x d,
+# and the stream its draws come from.
+LSTAR_CHUNK = 4096
+LSTAR_STREAM = 0x1057a7
 
 
 class ExactCapError(ValueError):
@@ -72,11 +77,16 @@ class LearningCurve:
     seed: int
 
 
+def _below_margin(w: np.ndarray, points: np.ndarray, labels: np.ndarray,
+                  gamma: float) -> np.ndarray:
+    """Which points have functional margin below gamma (tolerance MARGIN_TOL,
+    so exact-margin points count as satisfied)."""
+    return labels * (points @ w) < gamma - MARGIN_TOL * max(1.0, gamma)
+
+
 def margin_loss(w: np.ndarray, S: LabeledSample, gamma: float) -> float:
-    """Fraction of points with functional margin below gamma (tolerance
-    MARGIN_TOL, so exact-margin points count as satisfied)."""
-    margins = S.labels * (S.points @ w)
-    return float(np.mean(margins < gamma - MARGIN_TOL * max(1.0, gamma)))
+    """Fraction of points with functional margin below gamma."""
+    return float(np.mean(_below_margin(w, S.points, S.labels, gamma)))
 
 
 def _pattern_feasible(S: LabeledSample, pattern, gamma: float):
@@ -224,7 +234,14 @@ def estimate_lstar(spec: DistributionSpec, gamma: float, seed: int,
             w = spec.rotation @ w
     else:
         return None
-    return margin_loss(w, sample(spec, draws, seed, stream=0x1057a7), gamma)
+    if draws < 1:
+        raise DistSpecError(f"draws must be positive, got {draws}")
+    below = 0
+    for start in range(0, draws, LSTAR_CHUNK):
+        points, labels = _sample_rows(spec, start, min(start + LSTAR_CHUNK, draws),
+                                      seed, LSTAR_STREAM)
+        below += int(np.count_nonzero(_below_margin(w, points, labels, gamma)))
+    return below / draws
 
 
 def _run_learner(learner_kind: str, train: LabeledSample, test: LabeledSample,

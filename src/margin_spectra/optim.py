@@ -1,10 +1,13 @@
-"""Gram eigen-solves and minimum-norm solvers.
+"""Gram eigen-solves, the smallest-eigenvalue indicator and minimum-norm solvers.
 
-Every eigen-solve of a Gram matrix XX' in the package runs here: `gram_eig`
-(eigenpairs and the singularity check) for exact interpolation through the
-Gram inverse and for the shattering enumeration, `gram_lambda_min` for the
-smallest-eigenvalue tests.  Minimum-norm points under linear inequalities are
-a least-distance program reduced to one non-negative least-squares solve.
+Every eigen-solve or Cholesky factorization of a Gram matrix XX' in the
+package runs here: `gram_eig` (eigenpairs and the singularity check) for exact
+interpolation through the Gram inverse and for the shattering enumeration,
+`gram_lambda_min` where the eigenvalue itself is wanted, and
+`gram_lambda_min_at_least` for the indicator lambda_min >= t, which two
+shifted Cholesky factorizations decide outside a narrow band around t.
+Minimum-norm points under linear inequalities are a least-distance program
+reduced to one non-negative least-squares solve.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import nnls
 
 SINGULARITY_RATIO = 1e-10
@@ -20,6 +24,10 @@ FEAS_TOL = 1e-8
 LDP_TOL = 1e-10
 # Slack on ||w||^2 <= 1 when a min-norm solution must fit in the unit ball.
 UNIT_BALL_TOL = 1e-8
+# Half-width, relative to max(t, trace G), of the band around t in which
+# lambda_min(G) >= t is left to eigvalsh: trace G bounds ||G||, and the
+# rounding of a Cholesky factorization or of eigvalsh scales with ||G||.
+TIE_TOL = 1e-9
 
 
 class SingularGramError(np.linalg.LinAlgError):
@@ -96,6 +104,29 @@ def gram_eig(X: np.ndarray):
 def gram_lambda_min(X: np.ndarray) -> float:
     """Smallest eigenvalue of XX' (eigenvalues only, no eigenvectors)."""
     return float(np.linalg.eigvalsh(X @ X.T)[0])
+
+
+def _positive_definite(A: np.ndarray) -> bool:
+    """Whether LAPACK's Cholesky factorization of symmetric A succeeds."""
+    return lapack.dpotrf(A, lower=True, clean=False)[1] == 0
+
+
+def gram_lambda_min_at_least(G: np.ndarray, t: float) -> bool:
+    """The verdict of eigvalsh(G)[0] >= t for a finite Gram matrix G.
+
+    Cholesky factorizations of G - (t -+ band) I decide it when lambda_min(G)
+    lies outside [t - band, t + band], band = TIE_TOL * max(t, trace G); only
+    inside the band, where the two could disagree by rounding (exact ties
+    such as Hadamard rows), eigvalsh decides.
+    """
+    band = TIE_TOL * max(t, float(np.trace(G)))
+    eye = np.eye(G.shape[0])
+    # band is 0 only for G = 0 and t = 0, a tie eigvalsh must decide
+    if band > 0 and not _positive_definite(G - (t - band) * eye):
+        return False
+    if _positive_definite(G - (t + band) * eye):
+        return True
+    return float(np.linalg.eigvalsh(G)[0]) >= t
 
 
 def min_norm_interpolator(X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ identical for any worker count.  Within a trial, samples of different sizes
 are nested prefixes of one stream, which makes the success indicator
 {lambda_min(X_m X_m') >= m gamma^2} exactly non-increasing in m (Cauchy
 interlacing on principal submatrices); the per-trial failure threshold can
-therefore be located by bisection.
+therefore be located by bisection.  X_m X_m' is the leading m x m block of
+the trial's one Gram matrix, and `optim.gram_lambda_min_at_least` decides the
+indicator on it without an eigen-solve away from ties.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DistributionSpec, sample
-from .optim import gram_lambda_min
-from .shatter import lambda_min_sufficient
+from .optim import gram_lambda_min, gram_lambda_min_at_least
+from .shatter import SampleMatrix, lambda_min_sufficient
 
 
 class MUnderlineNotFound(RuntimeError):
@@ -104,12 +106,15 @@ def _trial_threshold(spec: DistributionSpec, gamma: float, m_max: int,
     """Smallest failing m for one nested-sample trial, in [1, m_max + 1].
 
     m_max + 1 means no failure up to m_max.  Valid because the success
-    indicator is non-increasing in m pathwise under nested sampling.
+    indicator is non-increasing in m pathwise under nested sampling.  The
+    Gram matrix of the m-prefix is the leading m x m block of one Gram matrix
+    per trial.
     """
-    pts = sample(spec, m_max, seed, stream=stream).points
+    X = SampleMatrix(sample(spec, m_max, seed, stream=stream).points).rows
+    G = X @ X.T
 
     def success(m: int) -> bool:
-        return lambda_min_sufficient(pts[:m], gamma)
+        return gram_lambda_min_at_least(G[:m, :m], m * gamma * gamma)
 
     if success(m_max):
         return m_max + 1

@@ -21,7 +21,7 @@ from .optim import (
     ConstraintSystem,
     SingularGramError,
     gram_eig,
-    gram_lambda_min,
+    gram_lambda_min_at_least,
     min_norm_interpolator,
     solve_min_norm_ineq,
 )
@@ -156,7 +156,7 @@ def lambda_min_sufficient(X: SampleMatrix | np.ndarray, gamma: float) -> bool:
     """
     if not isinstance(X, SampleMatrix):
         X = SampleMatrix(X)
-    return gram_lambda_min(X.rows) >= X.m * gamma * gamma
+    return gram_lambda_min_at_least(X.rows @ X.rows.T, X.m * gamma * gamma)
 
 
 def shatter_with_offsets(X: SampleMatrix | np.ndarray, r: np.ndarray, gamma: float,

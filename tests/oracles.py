@@ -5,7 +5,17 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from margin_spectra.optim import ConstraintSystem
+from margin_spectra.dist import (
+    GAUSSIAN,
+    GAUSSIAN_MIXTURE_SYMMETRIC,
+    RADEMACHER,
+    SEED_LIMIT,
+    UNIFORM_SYMMETRIC,
+    DistributionSpec,
+    DistSpecError,
+    LabeledSample,
+)
+from margin_spectra.optim import ConstraintSystem, gram_lambda_min
 from margin_spectra.spectral import set_limit_certificate
 
 
@@ -37,3 +47,94 @@ def projection_limit_bound(points: np.ndarray, gamma: float) -> int:
     for k in range(points.shape[1] + 1):
         best = min(best, 1.5 * (set_limit_certificate(points, k).b / g2 + k + 1))
     return int(math.floor(best + 1e-9))
+
+
+def _point_rng(seed: int, stream: int, index: int) -> np.random.Generator:
+    bg = np.random.Philox(key=[seed, stream], counter=[0, 0, 0, index])
+    return np.random.Generator(bg)
+
+
+def _draw_mixture(rng: np.random.Generator, v: float):
+    """One unit-variance draw (s v + z) / sqrt(1 + v^2) and its component sign s."""
+    s = float(2 * rng.integers(0, 2) - 1)
+    z = rng.standard_normal()
+    return (s * v + z) / math.sqrt(1.0 + v * v), s
+
+
+def _sign(x: float) -> float:
+    return 1.0 if x >= 0 else -1.0
+
+
+def per_point_sample(spec: DistributionSpec, m: int, seed: int, stream: int = 0) -> LabeledSample:
+    """Oracle: the sampler that builds one Philox generator per point, keyed
+    (seed, stream) with counter [0, 0, 0, i]; `sample` must match it bit for bit."""
+    if m < 1:
+        raise DistSpecError(f"m must be positive, got {m}")
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not isinstance(value, (int, np.integer)) or not 0 <= value < SEED_LIMIT:
+            raise DistSpecError(f"{name} must be an integer in [0, 2**63), got {value!r}")
+    d = spec.d
+    scale = np.sqrt(spec.variances)
+    kinds = [l.kind for l in spec.laws]
+    gauss_idx = np.array([i for i, k in enumerate(kinds) if k == GAUSSIAN], dtype=int)
+    rad_idx = np.array([i for i, k in enumerate(kinds) if k == RADEMACHER], dtype=int)
+    uni_idx = np.array([i for i, k in enumerate(kinds) if k == UNIFORM_SYMMETRIC], dtype=int)
+    mix_idx = [i for i, k in enumerate(kinds) if k == GAUSSIAN_MIXTURE_SYMMETRIC]
+    points = np.empty((m, d))
+    labels = np.empty(m)
+    lm = spec.label_model
+    for i in range(m):
+        rng = _point_rng(seed, stream, i)
+        x = np.empty(d)
+        if gauss_idx.size:
+            x[gauss_idx] = rng.standard_normal(gauss_idx.size)
+        if rad_idx.size:
+            x[rad_idx] = 2.0 * rng.integers(0, 2, rad_idx.size) - 1.0
+        if uni_idx.size:
+            a = math.sqrt(3.0)
+            x[uni_idx] = rng.uniform(-a, a, uni_idx.size)
+        component = None
+        for j in mix_idx:
+            val, s = _draw_mixture(rng, float(spec.laws[j].params["v"]))
+            x[j] = val
+            if component is None:
+                component = s
+        x = scale * x
+        if spec.rotation is not None:
+            x = spec.rotation @ x
+        if lm.kind == "halfspace":
+            labels[i] = _sign(float(lm.w @ x))
+        elif lm.kind == "halfspace_with_flip":
+            y = _sign(float(lm.w @ x))
+            if rng.random() < lm.flip:
+                y = -y
+            labels[i] = y
+        elif lm.kind == "coin":
+            labels[i] = 1.0 if rng.random() < lm.p else -1.0
+        else:  # mixture_component
+            if component is None:
+                raise DistSpecError("mixture_component label model needs a mixture coordinate")
+            labels[i] = component
+        points[i] = x
+    return LabeledSample(points=points, labels=labels)
+
+
+def eigvalsh_sufficient(X: np.ndarray, gamma: float) -> bool:
+    """Oracle: the eigenvalue test lambda_min(XX') >= m gamma^2."""
+    return gram_lambda_min(X) >= X.shape[0] * gamma * gamma
+
+
+def eigvalsh_threshold(points: np.ndarray, gamma: float) -> int:
+    """Oracle: smallest failing prefix size of `points` by bisection on the
+    eigenvalue test of each prefix, m_max + 1 when no prefix fails."""
+    m_max = points.shape[0]
+    if eigvalsh_sufficient(points, gamma):
+        return m_max + 1
+    lo, hi = 0, m_max
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if eigvalsh_sufficient(points[:mid], gamma):
+            lo = mid
+        else:
+            hi = mid
+    return hi

@@ -152,6 +152,10 @@ class TestMain:
         "limit-cert": {"points_csv": "p.csv", "k": 1},
         "fat-dim": {"points_csv": "p.csv", "gamma": 1.0, "max_subset": 2},
         "sample-complexity": {"curve_csv": "c.csv", "lstar": 0.0, "epsilon": 0.1},
+        "learn-curve": {"dist": {"example": "gaussian_mixture", "d": 8, "v": 1.5},
+                        "gamma": 1.0, "m_grid": [4, 8], "trials": 2,
+                        "learner": "erm_heuristic", "seed": 1},
+        "reproduce-examples": {"budget_seconds": 60},
     }
 
     @pytest.mark.parametrize("command, field, value", [
@@ -173,6 +177,22 @@ class TestMain:
         ("limit-cert", "k", -1),
         ("fat-dim", "max_subset", 0),
         ("sample-complexity", "epsilon", 0),
+        ("learn-curve", "m_grid", [0, 4]),
+        ("learn-curve", "m_grid", []),
+        ("learn-curve", "m_grid", [4, 8.0]),
+        ("learn-curve", "m_grid", 8),
+        ("learn-curve", "learner", "svm"),
+        ("reproduce-examples", "budget_seconds", 0),
+        ("reproduce-examples", "budget_seconds", "60"),
+        ("sample-complexity", "lstar", 1.5),
+        ("sample-complexity", "lstar", -0.1),
+        ("sample-complexity", "lstar", True),
+        ("eigen-prob", "dist", {"example": "cube", "d": 8}),
+        ("eigen-prob", "dist", {"example": "bernoulli", "d": 1}),
+        ("eigen-prob", "dist", {"example": "bernoulli", "d": 8.0}),
+        ("learn-curve", "dist", {"example": "gaussian_mixture", "d": 8}),
+        ("learn-curve", "dist", {"example": "gaussian_mixture", "d": 8, "v": 0}),
+        ("learn-curve", "dist", {"example": "gaussian_mixture", "d": 8, "v": "1"}),
     ])
     def test_bad_config_value_exit_two(self, tmp_path, capsys, command, field, value):
         good = {"schema_version": 1, **self.BASE_CONFIGS[command],

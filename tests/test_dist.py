@@ -17,6 +17,7 @@ from margin_spectra.dist import (
     sample,
 )
 from margin_spectra.spectral import k_gamma
+from oracles import per_point_sample
 
 
 def gaussian_spec(variances, label=None):
@@ -93,6 +94,32 @@ class TestSampling:
     def test_accepts_largest_seed_and_stream(self):
         S = sample(gaussian_spec([1.0]), 3, seed=2**63 - 1, stream=2**63 - 1)
         assert S.m == 3
+
+
+def oracle_specs():
+    """Every law kind and label model, each with and without a rotation."""
+    laws = (CoordinateLaw(GAUSSIAN), CoordinateLaw(RADEMACHER),
+            CoordinateLaw(UNIFORM_SYMMETRIC),
+            CoordinateLaw(GAUSSIAN_MIXTURE_SYMMETRIC, {"v": 0.7}),
+            CoordinateLaw(GAUSSIAN_MIXTURE_SYMMETRIC, {"v": 2.0}), CoordinateLaw(GAUSSIAN))
+    variances = np.array([1.0, 2.0, 0.5, 3.0, 1.5, 0.0])
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+    labels = (LabelModel("halfspace", w=np.ones(6)), LabelModel("coin", p=0.3),
+              LabelModel("halfspace_with_flip", w=np.arange(6.0), flip=0.2),
+              LabelModel("mixture_component"))
+    return [DistributionSpec(laws=laws, variances=variances, label_model=lm, rotation=r)
+            for lm in labels for r in (None, q)]
+
+
+@pytest.mark.parametrize("spec", oracle_specs())
+def test_matches_per_point_generator_oracle(spec):
+    """One generator reset per point draws the same bits as one generator per point."""
+    for seed in (0, 7, 2**63 - 1):
+        for stream in (0, 7, 2**63 - 1):
+            got = sample(spec, 25, seed, stream=stream)
+            want = per_point_sample(spec, 25, seed, stream=stream)
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
 
 
 class TestLabels:

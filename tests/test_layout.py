@@ -6,10 +6,19 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "margin_spectra"
 
 
-def test_gram_eigen_solves_only_in_optim():
-    """Every Gram eigen-solve goes through optim.gram_eig / gram_lambda_min."""
-    hits = [f"{path.name}:{n}: {line.strip()}"
-            for path in sorted(SRC.glob("*.py")) if path.name != "optim.py"
+def calls_outside(home: str, pattern: str) -> list[str]:
+    """Source lines matching `pattern` in package modules other than `home`."""
+    return [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py")) if path.name != home
             for n, line in enumerate(path.read_text().splitlines(), 1)
-            if re.search(r"eigh\(|eigvalsh\(", line)]
-    assert hits == []
+            if re.search(pattern, line)]
+
+
+def test_gram_eigen_solves_only_in_optim():
+    """Every Gram eigen-solve or Cholesky factorization goes through optim."""
+    assert calls_outside("optim.py", r"eigh\(|eigvalsh\(|cholesky\(|potrf\(") == []
+
+
+def test_philox_only_in_dist():
+    """Every random point comes from the one counter-based sampler in dist."""
+    assert calls_outside("dist.py", r"Philox\(") == []

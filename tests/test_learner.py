@@ -9,8 +9,11 @@ from margin_spectra.dist import (
     DistributionSpec,
     LabelModel,
     paper_example,
+    sample,
 )
 from margin_spectra.learner import (
+    LSTAR_CHUNK,
+    LSTAR_STREAM,
     DegenerateSampleError,
     ExactCapError,
     LabeledSample,
@@ -214,6 +217,18 @@ class TestLstar:
     def test_mixture_axis_small_for_large_v(self):
         spec = paper_example("gaussian_mixture", d=4, v=8.0)
         assert estimate_lstar(spec, 1.0, seed=1) < 0.05
+
+    def test_chunked_draws_match_one_draw(self):
+        rotation, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))
+        flipped = DistributionSpec(
+            laws=(CoordinateLaw("uniform_symmetric"),) * 3,
+            variances=np.array([2.0, 1.0, 0.5]), rotation=rotation,
+            label_model=LabelModel("halfspace_with_flip", w=[0.6, -0.8, 0.0], flip=0.1))
+        draws = 2 * LSTAR_CHUNK + 17
+        for spec, w in ((flipped, flipped.label_model.w / np.linalg.norm([0.6, -0.8, 0.0])),
+                        (paper_example("gaussian_mixture", d=5, v=1.0), np.eye(5)[0])):
+            one_draw = sample(spec, draws, seed=3, stream=LSTAR_STREAM)
+            assert estimate_lstar(spec, 0.8, seed=3, draws=draws) == margin_loss(w, one_draw, 0.8)
 
 
 class TestLearningCurve:

@@ -5,10 +5,12 @@ from margin_spectra.dist import (
     CoordinateLaw,
     DistributionSpec,
     LabelModel,
+    paper_example,
     sample,
 )
 from margin_spectra.randmat import (
     MUnderlineNotFound,
+    _trial_threshold,
     asymptotic_edge,
     edge_mc_compare,
     estimate_shatter_prob,
@@ -16,6 +18,7 @@ from margin_spectra.randmat import (
     wilson_interval,
     write_prob_curve_csv,
 )
+from oracles import eigvalsh_threshold
 
 
 def iso_gaussian(d, var=1.0):
@@ -78,6 +81,24 @@ class TestInterlacing:
                     for m in range(1, 21)]
             # once false, stays false
             assert all(succ[i] or not succ[i + 1] for i in range(len(succ) - 1))
+
+
+class TestTrialThreshold:
+    @pytest.mark.parametrize("spec, m_max, gammas", [
+        (iso_gaussian(30), 40, (0.3, 0.7, 1.0, 1.6)),
+        (paper_example("bernoulli", 12), 20, (0.3, 0.5, 0.7, 1.0, 1.3)),
+        (paper_example("bernoulli", 40), 60, (0.37, 0.7, 1.0)),
+    ])
+    def test_matches_eigvalsh_bisection(self, spec, m_max, gammas):
+        """Cholesky on blocks of one Gram matrix finds the thresholds that
+        eigvalsh finds on each prefix."""
+        for gamma in gammas:
+            got, want = [], []
+            for t in range(12):
+                got.append(_trial_threshold(spec, gamma, m_max, seed=5, stream=t))
+                pts = sample(spec, m_max, seed=5, stream=t).points
+                want.append(eigvalsh_threshold(pts, gamma))
+            assert got == want
 
 
 class TestMUnderline:

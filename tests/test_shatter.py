@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import projection_limit_bound
+from oracles import eigvalsh_sufficient, projection_limit_bound
 
-from margin_spectra.optim import SingularGramError, gram_eig, min_norm_interpolator
+from margin_spectra.optim import (
+    SingularGramError,
+    gram_eig,
+    gram_lambda_min_at_least,
+    min_norm_interpolator,
+)
 from margin_spectra.shatter import (
     EnumerationCapError,
     SampleMatrix,
@@ -121,6 +126,52 @@ class TestLambdaMinSufficient:
         cert = shatter_at_origin(X, 1.0)
         assert not cert.shattered
         assert cert.worst_value == pytest.approx(4.25)
+
+    def test_hadamard_tie_is_sufficient(self):
+        # lambda_min = m gamma^2 exactly: G - t I is singular, so a plain
+        # Cholesky test of it fails where eigvalsh says True
+        H = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], float)
+        assert gram_lambda_min_at_least(H @ H.T, 4.0)
+        assert lambda_min_sufficient(H, 1.0)
+        assert not lambda_min_sufficient(H, 1.0 + 1e-12)
+
+    def test_matches_eigvalsh_verdict(self):
+        rng = np.random.default_rng(11)
+        sylvester = np.ones((1, 1))
+        hadamards = []
+        for _ in range(5):
+            hadamards.append(sylvester)
+            sylvester = np.block([[sylvester, sylvester], [sylvester, -sylvester]])
+        cases = []
+        for H in hadamards:  # exact ties: k rows of H_n at gamma^2 = n / k
+            n = H.shape[0]
+            for k in {n, max(1, n // 4), max(1, n // 16)}:
+                for c in (1.0, 0.5, 3.0):
+                    g = c * math.sqrt(n / k)
+                    cases += [(c * H[:k], g), (c * H[:k], g * (1 + 1e-15)),
+                              (c * H[:k], g * (1 - 1e-15))]
+        for i in range(1000):
+            m, d = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+            X = rng.standard_normal((m, d))
+            kind = i % 5
+            if kind == 1:  # Rademacher: integer Gram matrices, frequent ties
+                X = np.sign(X)
+            elif kind == 2 and m > 1:
+                X[-1] = X[0]  # duplicate row
+            elif kind == 3:
+                X[int(rng.integers(m))] = 0.0  # zero row
+            elif kind == 4:  # lambda_max / lambda_min ~ 1e12: rounding ~1e-4 at lambda_min
+                X[0] *= 1e6
+                X = np.linalg.qr(rng.standard_normal((m, m)))[0] @ X
+            lam = max(np.linalg.eigvalsh(X @ X.T)[0], 1e-3)
+            for rel in (0.0, 1e-15, -1e-15, 1e-12, -1e-9, 1e-6, -1e-3, 0.5):
+                cases.append((X, math.sqrt(lam / m) * (1 + rel)))
+        shapes = [X.shape for X, _ in cases]
+        assert sum(m > d for m, d in shapes) > 100 and sum(m <= d for m, d in shapes) > 100
+        mismatches = [(X, g) for X, g in cases
+                      if lambda_min_sufficient(X, g) != eigvalsh_sufficient(X, g)]
+        assert mismatches == []
+        assert 0 < sum(eigvalsh_sufficient(X, g) for X, g in cases) < len(cases)
 
     def test_sufficiency_never_contradicted(self):
         rng = np.random.default_rng(0)
