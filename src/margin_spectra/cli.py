@@ -12,17 +12,16 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .dist import PAPER_EXAMPLES, SEED_LIMIT, DistributionSpec, paper_example
+from .dist import SEED_LIMIT, DistributionSpec, paper_example
 from .learner import (
     LEARNER_KINDS,
     empirical_sample_complexity,
     learning_curve,
+    read_curve_csv,
     write_curve_csv,
 )
 from .randmat import (
@@ -88,13 +87,6 @@ _FIELD_RULES = {
     "learner": (lambda v: v in LEARNER_KINDS, f"one of {', '.join(LEARNER_KINDS)}"),
 }
 
-# the same for the fields of a stock-example dist
-_EXAMPLE_RULES = {
-    "example": (lambda v: v in PAPER_EXAMPLES, f"one of {', '.join(PAPER_EXAMPLES)}"),
-    "d": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
-    "v": (_positive_number, "a positive number"),
-}
-
 
 def validate_config(command: str, raw: dict) -> ExperimentConfig:
     if command not in _SCHEMAS:
@@ -112,36 +104,43 @@ def validate_config(command: str, raw: dict) -> ExperimentConfig:
     for name, (ok, what) in _FIELD_RULES.items():
         if name in raw and not ok(raw[name]):
             raise ConfigError(f"{name} must be {what}, got {raw[name]!r}")
-    dist = raw.get("dist")
-    if isinstance(dist, dict) and "example" in dist:
-        needed = {"d"} | ({"v"} if dist["example"] == "gaussian_mixture" else set())
-        if needed - set(dist):
-            raise ConfigError(f"a stock-example dist needs {sorted(needed - set(dist))}")
-        for name, (ok, what) in _EXAMPLE_RULES.items():
-            if name in dist and not ok(dist[name]):
-                raise ConfigError(f"dist {name} must be {what}, got {dist[name]!r}")
+    if "dist" in raw:
+        try:
+            _dist_from_config(raw["dist"])  # the library's constructors decide
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"invalid dist ({type(e).__name__}: {e})") from None
     params = {k: v for k, v in raw.items() if k != "schema_version"}
     return ExperimentConfig(command=command, params=params)
 
 
-def _digest(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+# config fields naming an input file, whose bytes the report digest covers
+_INPUT_FILES = ("spectrum_csv", "points_csv", "curve_csv")
+
+
+def _inputs_digest(config: ExperimentConfig) -> str:
+    digest = hashlib.sha256(json.dumps(config.to_json(), sort_keys=True).encode())
+    for name in _INPUT_FILES:
+        if name in config.params:
+            digest.update(hashlib.sha256(Path(config.params[name]).read_bytes()).digest())
+    return digest.hexdigest()
 
 
 def _dist_from_config(obj: dict) -> DistributionSpec:
     if "example" in obj:
-        return paper_example(obj["example"], d=int(obj["d"]), v=obj.get("v"))
+        return paper_example(obj["example"], d=obj["d"], v=obj.get("v"))
     return DistributionSpec.from_json(obj)
 
 
 def run(config: ExperimentConfig, out_dir: Path) -> dict:
     """Dispatch one validated config; returns the experiment report."""
     t0 = time.perf_counter()
+    digest = _inputs_digest(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     p = config.params
     outputs: list[str] = []
     summary: dict = {}
     workers = int(p.get("workers", 1))
+    spec = _dist_from_config(p["dist"]) if "dist" in p else None
 
     if config.command == "kgamma":
         spectrum = read_spectrum_csv(p["spectrum_csv"])
@@ -170,7 +169,6 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
         summary = {"lower": est.lower, "upper": est.upper,
                    "witness_subset": list(est.witness_subset)}
     elif config.command == "eigen-prob":
-        spec = _dist_from_config(p["dist"])
         est = estimate_shatter_prob(spec, float(p["gamma"]), int(p["m"]),
                                     int(p["trials"]), int(p["seed"]), workers)
         path = out_dir / "eigen_prob.csv"
@@ -178,7 +176,6 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
         outputs.append(str(path))
         summary = {"prob": est.prob, "ci_low": est.ci_low, "ci_high": est.ci_high}
     elif config.command == "m-underline":
-        spec = _dist_from_config(p["dist"])
         res = m_underline(spec, float(p["gamma"]), int(p["m_max"]),
                           int(p["trials"]), int(p["seed"]), workers)
         path = out_dir / "m_underline_curve.csv"
@@ -186,13 +183,11 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
         outputs.append(str(path))
         summary = {"m_underline": res.m_underline, "first_failing_m": res.first_failing_m}
     elif config.command == "edge-check":
-        spec = _dist_from_config(p["dist"])
         rep = edge_mc_compare(spec, float(p["beta"]), int(p["d"]),
                               int(p["trials"]), int(p["seed"]), workers)
         summary = {"empirical_mean": rep.empirical_mean, "predicted": rep.predicted,
                    "rel_error": rep.rel_error}
     elif config.command == "learn-curve":
-        spec = _dist_from_config(p["dist"])
         curve = learning_curve(spec, float(p["gamma"]), [int(m) for m in p["m_grid"]],
                                int(p["trials"]), p["learner"], int(p["seed"]), workers)
         path = out_dir / "learning_curve.csv"
@@ -202,10 +197,9 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
                    "entries": [{"m": e.m, "mean_test_error": e.mean_test_error}
                                for e in curve.entries]}
     elif config.command == "sample-complexity":
-        rows = _read_curve_csv(p["curve_csv"])
-        eps, lstar = float(p["epsilon"]), float(p["lstar"])
-        found = next((m for m, err in rows if err - lstar <= eps), None)
-        summary = {"epsilon": eps, "lstar": lstar,
+        curve = replace(read_curve_csv(p["curve_csv"]), lstar=float(p["lstar"]))
+        found = empirical_sample_complexity(curve, float(p["epsilon"]))
+        summary = {"epsilon": float(p["epsilon"]), "lstar": curve.lstar,
                    "m": found, "reached": found is not None}
     elif config.command == "reproduce-examples":
         summary, outputs = reproduce_examples(
@@ -216,7 +210,7 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
 
     report = {
         "command": config.command,
-        "inputs_digest": _digest(config.to_json()),
+        "inputs_digest": digest,
         "outputs": outputs,
         "summary": summary,
         "wall_clock_seconds": round(time.perf_counter() - t0, 3),
@@ -226,13 +220,6 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report, indent=2))
     return report
-
-
-def _read_curve_csv(path):
-    import csv as _csv
-    with open(path, newline="") as f:
-        rows = list(_csv.DictReader(f))
-    return [(int(r["m"]), float(r["mean_test_error"])) for r in rows]
 
 
 def reproduce_examples(out_dir: Path, seed: int, workers: int = 1,

@@ -12,7 +12,6 @@ calls share nothing.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -116,8 +115,8 @@ class DistributionSpec:
         var = np.asarray(self.variances, dtype=float)
         if len(laws) != var.size:
             raise DistSpecError(f"{len(laws)} laws but {var.size} variances")
-        if np.any(var < 0):
-            raise DistSpecError("variances must be non-negative")
+        if not np.all(np.isfinite(var) & (var >= 0)):
+            raise DistSpecError("variances must be finite and non-negative")
         object.__setattr__(self, "laws", laws)
         object.__setattr__(self, "variances", var)
         if self.rotation is not None:
@@ -276,9 +275,14 @@ PAPER_EXAMPLES = ("spiky", "bernoulli", "gaussian_mixture")
 
 
 def paper_example(name: str, d: int, v: float | None = None) -> DistributionSpec:
-    """Stock example families: spiky spectrum, hypercube signs, two-Gaussian mixture."""
-    if d < 2:
-        raise DistSpecError(f"d must be >= 2, got {d}")
+    """Stock example families: spiky spectrum, hypercube signs, two-Gaussian mixture.
+
+    d must be an integer >= 2 and v, the mixture offset, a positive finite number."""
+    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 2:
+        raise DistSpecError(f"d must be an integer >= 2, got {d!r}")
+    if v is not None and (isinstance(v, bool) or not isinstance(
+            v, (int, float, np.integer, np.floating)) or not 0 < v < math.inf):
+        raise DistSpecError(f"v must be a positive finite number, got {v!r}")
     e1 = np.zeros(d)
     e1[0] = 1.0
     if name == "spiky":
@@ -293,7 +297,7 @@ def paper_example(name: str, d: int, v: float | None = None) -> DistributionSpec
         return DistributionSpec(laws=laws, variances=np.ones(d),
                                 label_model=LabelModel("halfspace", w=e1))
     if name == "gaussian_mixture":
-        if v is None or v <= 0:
+        if v is None:
             raise DistSpecError("gaussian_mixture needs a positive offset v")
         laws = (CoordinateLaw(GAUSSIAN_MIXTURE_SYMMETRIC, {"v": float(v)}),) + tuple(
             CoordinateLaw(GAUSSIAN) for _ in range(d - 1))

@@ -37,6 +37,10 @@ LEARNER_KINDS = ("erm_exact", "erm_heuristic", "adversarial", "generative")
 # and the stream its draws come from.
 LSTAR_CHUNK = 4096
 LSTAR_STREAM = 0x1057a7
+# Restarts (the first from w = 0, the rest from random unit vectors) and
+# iterations per restart of the hinge heuristic.
+HINGE_RESTARTS = 10
+HINGE_ITERS = 300
 
 
 class ExactCapError(ValueError):
@@ -125,8 +129,7 @@ def margin_error_minimize(S: LabeledSample, gamma: float, mode: str = "exact",
                          mode="heuristic", optimality_certified=False)
 
 
-def _hinge_subgradient(S: LabeledSample, gamma: float, seed: int,
-                       restarts: int = 10, iters: int = 300) -> np.ndarray:
+def _hinge_subgradient(S: LabeledSample, gamma: float, seed: int) -> np.ndarray:
     """Projected subgradient descent on the hinge-at-gamma surrogate.
 
     Keeps the best iterate seen (by 0-1 margin loss, then hinge value) across
@@ -147,13 +150,13 @@ def _hinge_subgradient(S: LabeledSample, gamma: float, seed: int,
             if key < best_key:
                 best_key, best_w = key, cand.copy()
 
-    for r in range(restarts):
+    for r in range(HINGE_RESTARTS):
         if r == 0:
             w = np.zeros(X.shape[1])
         else:
             w = rng.standard_normal(X.shape[1])
             w /= np.linalg.norm(w)
-        for t in range(1, iters + 1):
+        for t in range(1, HINGE_ITERS + 1):
             margins = y * (X @ w)
             viol = margins < gamma
             if not np.any(viol):
@@ -170,8 +173,7 @@ def _hinge_subgradient(S: LabeledSample, gamma: float, seed: int,
 
 
 def adversarial_minimizer(S_train: LabeledSample, test_points: np.ndarray,
-                          test_labels: np.ndarray, gamma: float,
-                          cap: int = 20) -> np.ndarray:
+                          test_labels: np.ndarray, gamma: float) -> np.ndarray:
     """Zero-training-margin-loss separator that misclassifies every test point.
 
     Valid only when the combined train+test point set is origin-shattered at
@@ -180,7 +182,7 @@ def adversarial_minimizer(S_train: LabeledSample, test_points: np.ndarray,
     test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
     test_labels = np.atleast_1d(np.asarray(test_labels, dtype=float))
     combined = np.vstack([S_train.points, test_points])
-    cert = shatter_at_origin(SampleMatrix(combined), gamma, cap=cap)
+    cert = shatter_at_origin(SampleMatrix(combined), gamma)
     if not cert.shattered:
         raise NotShatteredError(
             f"combined set not shattered at gamma={gamma} "
@@ -316,3 +318,16 @@ def write_curve_csv(path, curve: LearningCurve) -> None:
         for e in curve.entries:
             w.writerow([e.m, repr(e.mean_test_error), repr(e.std_error), e.trials,
                         curve.learner_kind, repr(curve.gamma), curve.seed])
+
+
+def read_curve_csv(path) -> LearningCurve:
+    """Read a curve written by write_curve_csv, without lstar or digest (the
+    CSV holds neither); a file with no entries reads as gamma nan, seed 0."""
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    head = rows[0] if rows else {"gamma": "nan", "learner_kind": "", "seed": "0"}
+    return LearningCurve(
+        gamma=float(head["gamma"]), learner_kind=head["learner_kind"], seed=int(head["seed"]),
+        entries=tuple(CurveEntry(int(r["m"]), float(r["mean_test_error"]),
+                                 float(r["std_error"]), int(r["trials"])) for r in rows),
+        distribution_digest="", lstar=None)

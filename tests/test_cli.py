@@ -15,6 +15,11 @@ from margin_spectra.shatter import SampleMatrix, write_points_csv
 from margin_spectra.spectral import CovarianceSpectrum, write_spectrum_csv
 
 
+# a valid full distribution spec; the bad-dist cases below each break one field
+FULL_SPEC = {"laws": [{"kind": "gaussian"}, {"kind": "gaussian"}], "variances": [1.0, 2.0],
+             "rotation": None, "label_model": {"kind": "coin", "p": 0.5}}
+
+
 def write_config(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -51,6 +56,12 @@ class TestValidation:
             "gamma": 1.0, "m": 2, "trials": 5, "seed": 7})
         back = validate_config("eigen-prob", cfg.to_json())
         assert back == cfg
+
+    def test_accepts_full_spec(self):
+        cfg = validate_config("eigen-prob", {
+            "schema_version": 1, "dist": FULL_SPEC,
+            "gamma": 1.0, "m": 2, "trials": 5, "seed": 7})
+        assert cfg.params["dist"] == FULL_SPEC
 
 
 class TestRun:
@@ -95,6 +106,15 @@ class TestRun:
         assert report["summary"]["m"] == 20
         assert report["summary"]["reached"] is True
 
+    def test_sample_complexity_header_only_not_reached(self, tmp_path):
+        curve_path = tmp_path / "curve.csv"
+        curve_path.write_text("m,mean_test_error,std_error,trials,learner_kind,gamma,seed\n")
+        report = run(ExperimentConfig("sample-complexity", {
+            "curve_csv": str(curve_path), "lstar": 0.02, "epsilon": 0.1}),
+            tmp_path / "out")
+        assert report["summary"]["m"] is None
+        assert report["summary"]["reached"] is False
+
     def test_report_carries_digest_and_version(self, tmp_path):
         s = CovarianceSpectrum(np.array([1.0]))
         csv_path = tmp_path / "spec.csv"
@@ -103,6 +123,18 @@ class TestRun:
             "spectrum_csv": str(csv_path), "gamma": 1.0}), tmp_path / "out")
         assert len(report["inputs_digest"]) == 64
         assert report["library_version"]
+
+    def test_digest_covers_input_file_bytes(self, tmp_path):
+        csv_path = tmp_path / "spec.csv"
+        cfg = ExperimentConfig("kgamma", {"spectrum_csv": str(csv_path), "gamma": 1.0})
+
+        def digest(eigenvalues):
+            write_spectrum_csv(csv_path, CovarianceSpectrum(np.array(eigenvalues)))
+            return run(cfg, tmp_path / "out")["inputs_digest"]
+
+        first = digest([4.0, 1.0])
+        assert digest([4.0, 1.0]) == first
+        assert digest([9.0, 0.5]) != first
 
 
 class TestMain:
@@ -193,6 +225,14 @@ class TestMain:
         ("learn-curve", "dist", {"example": "gaussian_mixture", "d": 8}),
         ("learn-curve", "dist", {"example": "gaussian_mixture", "d": 8, "v": 0}),
         ("learn-curve", "dist", {"example": "gaussian_mixture", "d": 8, "v": "1"}),
+        ("eigen-prob", "dist", {**FULL_SPEC, "variances": [1.0, -1.0]}),
+        ("eigen-prob", "dist", {**FULL_SPEC, "variances": [1.0, float("nan")]}),
+        ("eigen-prob", "dist", {**FULL_SPEC, "laws": [{"kind": "cauchy"}, {"kind": "gaussian"}]}),
+        ("eigen-prob", "dist", {k: v for k, v in FULL_SPEC.items() if k != "label_model"}),
+        ("eigen-prob", "dist", {**FULL_SPEC, "label_model": {"kind": "coin", "p": 2}}),
+        ("eigen-prob", "dist", {**FULL_SPEC, "variances": [1.0]}),
+        ("eigen-prob", "dist", {**FULL_SPEC, "rotation": [[1.0, 1.0], [0.0, 1.0]]}),
+        ("eigen-prob", "dist", 5),
     ])
     def test_bad_config_value_exit_two(self, tmp_path, capsys, command, field, value):
         good = {"schema_version": 1, **self.BASE_CONFIGS[command],
@@ -218,3 +258,14 @@ class TestMain:
                      "--workers", "2"]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["seed"] == 9
+
+    def test_reproduce_examples_stops_at_budget(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, "budget_seconds": 0.001, "out": str(out)})
+        assert main(["reproduce-examples", "--config", cfg]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["incomplete"] is True
+        assert [row["example"] for row in summary["table"]] == ["spiky"]
+        for name in ("spiky_curve.csv", "examples_table.json", "report.json"):
+            assert (out / name).exists()

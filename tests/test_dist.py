@@ -228,6 +228,19 @@ class TestPaperExamples:
         with pytest.raises(DistSpecError):
             paper_example("unknown", d=10)
 
+    @pytest.mark.parametrize("name, d, v", [
+        ("bernoulli", 8.0, None), ("bernoulli", True, None), ("bernoulli", 1, None),
+        ("gaussian_mixture", 8, True), ("gaussian_mixture", 8, "1"),
+        ("gaussian_mixture", 8, math.nan), ("gaussian_mixture", 8, math.inf),
+        ("gaussian_mixture", 8, 0), ("spiky", 8, -1.0)])
+    def test_rejects_bad_d_or_v(self, name, d, v):
+        with pytest.raises(DistSpecError):
+            paper_example(name, d, v=v)
+
+    def test_accepts_numpy_scalars(self):
+        spec = paper_example("gaussian_mixture", np.int64(4), v=np.float32(2.0))
+        assert spec.to_json() == paper_example("gaussian_mixture", 4, v=2.0).to_json()
+
 
 class TestSerialization:
     def test_json_roundtrip(self):
@@ -256,3 +269,6 @@ def test_spec_validation():
         LabelModel("coin", p=1.5)
     with pytest.raises(DistSpecError):
         CoordinateLaw(GAUSSIAN_MIXTURE_SYMMETRIC)
+    for bad in ([1.0, -1.0], [1.0, math.nan], [math.inf, 1.0]):
+        with pytest.raises(DistSpecError):
+            gaussian_spec(bad)

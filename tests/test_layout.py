@@ -22,3 +22,10 @@ def test_gram_eigen_solves_only_in_optim():
 def test_philox_only_in_dist():
     """Every random point comes from the one counter-based sampler in dist."""
     assert calls_outside("dist.py", r"Philox\(") == []
+
+
+def test_cli_reads_and_writes_no_csv():
+    """Each file format is read and written in its own module, not in the CLI."""
+    source = (SRC / "cli.py").read_text().splitlines()
+    assert [line for line in source
+            if re.search(r"^\s*(import|from)\s+csv\b|csv\.(reader|writer|Dict\w+)\(", line)] == []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +26,7 @@ from margin_spectra.learner import (
     learning_curve,
     margin_error_minimize,
     margin_loss,
+    read_curve_csv,
     write_curve_csv,
 )
 from margin_spectra.optim import UNIT_BALL_TOL, ConstraintSystem
@@ -315,3 +317,14 @@ def test_curve_csv_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "m,mean_test_error,std_error,trials,learner_kind,gamma,seed"
+
+
+def test_curve_csv_roundtrip(tmp_path):
+    curve = TestSampleComplexity().make_curve([(4, 1 / 3), (8, 0.1 + 0.2)], lstar=0.05)
+    curve = replace(curve, gamma=0.7, seed=2**63 - 1)
+    path = tmp_path / "curve.csv"
+    write_curve_csv(path, curve)
+    assert read_curve_csv(path) == replace(curve, distribution_digest="", lstar=None)
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    empty = read_curve_csv(path)
+    assert empty.entries == () and empty.lstar is None
