@@ -106,9 +106,11 @@ def validate_config(command: str, raw: dict) -> ExperimentConfig:
             raise ConfigError(f"{name} must be {what}, got {raw[name]!r}")
     if "dist" in raw:
         try:
-            _dist_from_config(raw["dist"])  # the library's constructors decide
+            spec = _dist_from_config(raw["dist"])  # the library's constructors decide
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"invalid dist ({type(e).__name__}: {e})") from None
+        if command == "edge-check" and raw["d"] != spec.d:
+            raise ConfigError(f"d must equal the dist's dimension {spec.d}, got {raw['d']!r}")
     params = {k: v for k, v in raw.items() if k != "schema_version"}
     return ExperimentConfig(command=command, params=params)
 

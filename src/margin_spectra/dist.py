@@ -46,6 +46,11 @@ class DistSpecError(ValueError):
     """Invalid distribution specification or parameters."""
 
 
+def _positive_finite(v) -> bool:
+    return (not isinstance(v, bool) and isinstance(v, (int, float, np.integer, np.floating))
+            and 0 < v < math.inf)
+
+
 def relative_moment(kind: str) -> float:
     """Registry lookup of the sub-Gaussian relative moment for a law kind."""
     try:
@@ -63,8 +68,9 @@ class CoordinateLaw:
 
     def __post_init__(self):
         relative_moment(self.kind)
-        if self.kind == GAUSSIAN_MIXTURE_SYMMETRIC and "v" not in self.params:
-            raise DistSpecError("gaussian_mixture_symmetric needs an offset param 'v'")
+        if self.kind == GAUSSIAN_MIXTURE_SYMMETRIC and not _positive_finite(self.params.get("v")):
+            raise DistSpecError("gaussian_mixture_symmetric needs an offset param 'v', "
+                                f"a positive finite number, got {self.params.get('v')!r}")
 
     @property
     def relative_moment(self) -> float:
@@ -85,7 +91,10 @@ class LabelModel:
         if self.kind in ("halfspace", "halfspace_with_flip"):
             if self.w is None:
                 raise DistSpecError(f"{self.kind} label model needs a direction w")
-            object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
+            w = np.asarray(self.w, dtype=float)
+            if not (np.all(np.isfinite(w)) and np.any(w)):
+                raise DistSpecError(f"{self.kind} direction w must be finite and non-zero")
+            object.__setattr__(self, "w", w)
         elif self.kind == "coin":
             if self.p is None or not (0.0 <= self.p <= 1.0):
                 raise DistSpecError("coin label model needs p in [0, 1]")
@@ -117,6 +126,12 @@ class DistributionSpec:
             raise DistSpecError(f"{len(laws)} laws but {var.size} variances")
         if not np.all(np.isfinite(var) & (var >= 0)):
             raise DistSpecError("variances must be finite and non-negative")
+        lm = self.label_model
+        if lm.w is not None and lm.w.shape != var.shape:
+            raise DistSpecError(f"label direction w has shape {lm.w.shape}, need ({var.size},)")
+        if lm.kind == "mixture_component" and all(
+                l.kind != GAUSSIAN_MIXTURE_SYMMETRIC for l in laws):
+            raise DistSpecError("mixture_component label model needs a mixture coordinate")
         object.__setattr__(self, "laws", laws)
         object.__setattr__(self, "variances", var)
         if self.rotation is not None:
@@ -251,9 +266,7 @@ def _sample_rows(spec: DistributionSpec, start: int, stop: int, seed: int,
             labels[i] = y
         elif lm.kind == "coin":
             labels[i] = 1.0 if rng.random() < lm.p else -1.0
-        else:  # mixture_component
-            if component is None:
-                raise DistSpecError("mixture_component label model needs a mixture coordinate")
+        else:  # mixture_component; the spec has a mixture coordinate
             labels[i] = component
         points[i] = x
     return points, labels
@@ -280,8 +293,7 @@ def paper_example(name: str, d: int, v: float | None = None) -> DistributionSpec
     d must be an integer >= 2 and v, the mixture offset, a positive finite number."""
     if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 2:
         raise DistSpecError(f"d must be an integer >= 2, got {d!r}")
-    if v is not None and (isinstance(v, bool) or not isinstance(
-            v, (int, float, np.integer, np.floating)) or not 0 < v < math.inf):
+    if v is not None and not _positive_finite(v):
         raise DistSpecError(f"v must be a positive finite number, got {v!r}")
     e1 = np.zeros(d)
     e1[0] = 1.0

@@ -11,6 +11,7 @@ while misclassifying every test point.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -24,11 +25,12 @@ from .dist import DistributionSpec, DistSpecError, LabeledSample, _sample_rows, 
 from .optim import (
     UNIT_BALL_TOL,
     ConstraintSystem,
+    SingularGramError,
     min_norm_interpolator,
     solve_min_norm_ineq,
 )
 from .randmat import map_trials
-from .shatter import SampleMatrix, shatter_at_origin
+from .shatter import SampleMatrix, lambda_min_sufficient, shatter_at_origin
 
 EXACT_CAP = 16
 MARGIN_TOL = 1e-9
@@ -81,16 +83,15 @@ class LearningCurve:
     seed: int
 
 
-def _below_margin(w: np.ndarray, points: np.ndarray, labels: np.ndarray,
-                  gamma: float) -> np.ndarray:
-    """Which points have functional margin below gamma (tolerance MARGIN_TOL,
-    so exact-margin points count as satisfied)."""
-    return labels * (points @ w) < gamma - MARGIN_TOL * max(1.0, gamma)
+def _below_margin(margins: np.ndarray, gamma: float) -> np.ndarray:
+    """Which functional margins y <x, w> fall below gamma (tolerance
+    MARGIN_TOL, so exact-margin points count as satisfied)."""
+    return margins < gamma - MARGIN_TOL * max(1.0, gamma)
 
 
 def margin_loss(w: np.ndarray, S: LabeledSample, gamma: float) -> float:
     """Fraction of points with functional margin below gamma."""
-    return float(np.mean(_below_margin(w, S.points, S.labels, gamma)))
+    return float(np.mean(_below_margin(S.labels * (S.points @ w), gamma)))
 
 
 def _pattern_feasible(S: LabeledSample, pattern, gamma: float):
@@ -144,9 +145,9 @@ def _hinge_subgradient(S: LabeledSample, gamma: float, seed: int) -> np.ndarray:
         nonlocal best_w, best_key
         nrm = np.linalg.norm(w)
         for cand in (w, w / nrm) if nrm > 0 else (w,):
-            zo = margin_loss(cand, S, gamma)
-            hinge = float(np.mean(np.maximum(0.0, gamma - y * (X @ cand))))
-            key = (zo, hinge)
+            margins = y * (X @ cand)
+            key = (float(np.mean(_below_margin(margins, gamma))),
+                   float(np.mean(np.maximum(0.0, gamma - margins))))
             if key < best_key:
                 best_key, best_w = key, cand.copy()
 
@@ -178,17 +179,24 @@ def adversarial_minimizer(S_train: LabeledSample, test_points: np.ndarray,
 
     Valid only when the combined train+test point set is origin-shattered at
     margin gamma (checked exactly); raises NotShatteredError otherwise.
+    lambda_min(XX') >= m gamma^2 bounds y'(XX'/gamma^2)^{-1} y by
+    m gamma^2 / lambda_min <= 1 for every sign vector y, so the 2^(m-1)
+    labelings are enumerated only when that test fails or the Gram matrix is
+    too near singular to invert (which the enumeration reports).
     """
-    test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
-    test_labels = np.atleast_1d(np.asarray(test_labels, dtype=float))
-    combined = np.vstack([S_train.points, test_points])
-    cert = shatter_at_origin(SampleMatrix(combined), gamma)
+    test = LabeledSample(test_points, test_labels)
+    combined = SampleMatrix(np.vstack([S_train.points, test.points]))
+    targets = np.concatenate([S_train.labels, -test.labels])
+    # a gamma that is not positive goes on to shatter_at_origin, which rejects it
+    if gamma > 0 and lambda_min_sufficient(combined, gamma):
+        with contextlib.suppress(SingularGramError):
+            return min_norm_interpolator(combined.rows / gamma, targets)
+    cert = shatter_at_origin(combined, gamma)
     if not cert.shattered:
         raise NotShatteredError(
             f"combined set not shattered at gamma={gamma} "
             f"(worst value {cert.worst_value:.4g}, Gram condition {cert.gram_condition:.3g})")
-    targets = np.concatenate([S_train.labels, -test_labels])
-    return min_norm_interpolator(combined / gamma, targets)
+    return min_norm_interpolator(combined.rows / gamma, targets)
 
 
 @dataclass(frozen=True)
@@ -212,10 +220,6 @@ def generative_nearest_mean(S: LabeledSample) -> NearestMeanRule:
     if nrm == 0:
         raise DegenerateSampleError("class means coincide")
     return NearestMeanRule(w=diff / nrm, midpoint=(pos.mean(axis=0) + neg.mean(axis=0)) / 2.0)
-
-
-def _zero_one_error(pred: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(pred != labels))
 
 
 def estimate_lstar(spec: DistributionSpec, gamma: float, seed: int,
@@ -242,56 +246,59 @@ def estimate_lstar(spec: DistributionSpec, gamma: float, seed: int,
     for start in range(0, draws, LSTAR_CHUNK):
         points, labels = _sample_rows(spec, start, min(start + LSTAR_CHUNK, draws),
                                       seed, LSTAR_STREAM)
-        below += int(np.count_nonzero(_below_margin(w, points, labels, gamma)))
+        below += int(np.count_nonzero(_below_margin(labels * (points @ w), gamma)))
     return below / draws
 
 
 def _run_learner(learner_kind: str, train: LabeledSample, test: LabeledSample,
                  gamma: float, seed: int) -> float:
     """Test misclassification error of one learner invocation."""
-    if learner_kind == "erm_exact":
-        out = margin_error_minimize(train, gamma, mode="exact")
-        pred = np.where(test.points @ out.w >= 0, 1.0, -1.0)
-        return _zero_one_error(pred, test.labels)
-    if learner_kind == "erm_heuristic":
-        out = margin_error_minimize(train, gamma, mode="heuristic", seed=seed)
-        pred = np.where(test.points @ out.w >= 0, 1.0, -1.0)
-        return _zero_one_error(pred, test.labels)
-    if learner_kind == "adversarial":
-        w = adversarial_minimizer(train, test.points, test.labels, gamma)
-        pred = np.where(test.points @ w >= 0, 1.0, -1.0)
-        return _zero_one_error(pred, test.labels)
     if learner_kind == "generative":
         try:
-            rule = generative_nearest_mean(train)
-            pred = rule.predict(test.points)
+            pred = generative_nearest_mean(train).predict(test.points)
         except DegenerateSampleError:
             # single-class or coinciding-mean draws: predict the majority class
-            maj = 1.0 if float(train.labels.sum()) >= 0 else -1.0
-            pred = np.full(test.m, maj)
-        return _zero_one_error(pred, test.labels)
-    raise ValueError(f"unknown learner kind {learner_kind!r}")
+            pred = np.full(test.m, 1.0 if float(train.labels.sum()) >= 0 else -1.0)
+    else:
+        if learner_kind in ("erm_exact", "erm_heuristic"):
+            mode = "exact" if learner_kind == "erm_exact" else "heuristic"
+            w = margin_error_minimize(train, gamma, mode=mode, seed=seed).w
+        elif learner_kind == "adversarial":
+            w = adversarial_minimizer(train, test.points, test.labels, gamma)
+        else:
+            raise ValueError(f"unknown learner kind {learner_kind!r}")
+        pred = np.where(test.points @ w >= 0, 1.0, -1.0)
+    return float(np.mean(pred != test.labels))
 
 
 def learning_curve(spec: DistributionSpec, gamma: float, m_grid, trials: int,
                    learner_kind: str, seed: int, workers: int = 1) -> LearningCurve:
-    """Mean test error vs sample size, with equal train and test sizes."""
+    """Mean test error vs sample size, with equal train and test sizes.
 
-    def one(m: int, t: int) -> float:
-        return _run_learner(learner_kind, sample(spec, m, seed, stream=2 * t),
-                            sample(spec, m, seed, stream=2 * t + 1),
-                            gamma, seed=seed * 1_000_003 + t)
+    Trial t draws its train (stream 2t) and test (stream 2t+1) samples once, at
+    the largest grid size, and scores each size m on their m-prefixes.
+    """
+    m_grid = list(m_grid)
+    if trials < 1 or not m_grid:
+        raise ValueError("trials must be >= 1 and m_grid non-empty")
+    if min(m_grid) < 1:  # a slice [:0] or [:-1] would pass for a sample
+        raise DistSpecError(f"m must be positive, got {min(m_grid)}")
 
-    entries = []
-    for m in m_grid:
-        errs = np.array(map_trials(lambda t: one(m, t), trials, workers))
-        entries.append(CurveEntry(m=int(m), mean_test_error=float(errs.mean()),
-                                  std_error=float(errs.std(ddof=1) / math.sqrt(trials))
-                                  if trials > 1 else 0.0,
-                                  trials=trials))
+    def one(t: int) -> list[float]:
+        train = sample(spec, max(m_grid), seed, stream=2 * t)
+        test = sample(spec, max(m_grid), seed, stream=2 * t + 1)
+        return [_run_learner(learner_kind, LabeledSample(train.points[:m], train.labels[:m]),
+                             LabeledSample(test.points[:m], test.labels[:m]),
+                             gamma, seed=seed * 1_000_003 + t) for m in m_grid]
+
+    errs = np.array(map_trials(one, trials, workers)).T.copy()  # a contiguous row per size
+    entries = tuple(CurveEntry(m=int(m), mean_test_error=float(e.mean()),
+                               std_error=float(e.std(ddof=1) / math.sqrt(trials))
+                               if trials > 1 else 0.0, trials=trials)
+                    for m, e in zip(m_grid, errs))
     digest = hashlib.sha256(
         json.dumps(spec.to_json(), sort_keys=True).encode()).hexdigest()[:16]
-    return LearningCurve(gamma=float(gamma), entries=tuple(entries),
+    return LearningCurve(gamma=float(gamma), entries=entries,
                          learner_kind=learner_kind, distribution_digest=digest,
                          lstar=estimate_lstar(spec, gamma, seed), seed=seed)
 

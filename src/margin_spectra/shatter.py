@@ -66,7 +66,6 @@ class ShatterCertificate:
     worst_labeling: np.ndarray | None
     worst_value: float
     gram_condition: float
-    witnesses: dict | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -76,8 +75,6 @@ class ShatterCertificate:
             else [int(v) for v in self.worst_labeling],
             "worst_value": self.worst_value,
             "gram_condition": self.gram_condition,
-            "witnesses": None if self.witnesses is None
-            else {k: [float(v) for v in w] for k, w in self.witnesses.items()},
         }
 
 

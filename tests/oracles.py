@@ -1,5 +1,7 @@
 """Reference implementations the test modules check the package against."""
 
+import hashlib
+import json
 import math
 from itertools import chain, combinations
 
@@ -14,8 +16,18 @@ from margin_spectra.dist import (
     DistributionSpec,
     DistSpecError,
     LabeledSample,
+    sample,
 )
-from margin_spectra.optim import ConstraintSystem, gram_lambda_min
+from margin_spectra.learner import (
+    CurveEntry,
+    LearningCurve,
+    NotShatteredError,
+    _run_learner,
+    estimate_lstar,
+)
+from margin_spectra.optim import ConstraintSystem, gram_lambda_min, min_norm_interpolator
+from margin_spectra.randmat import map_trials
+from margin_spectra.shatter import SampleMatrix, shatter_at_origin
 from margin_spectra.spectral import set_limit_certificate
 
 
@@ -138,3 +150,43 @@ def eigvalsh_threshold(points: np.ndarray, gamma: float) -> int:
         else:
             hi = mid
     return hi
+
+
+def enumerating_adversarial_minimizer(S_train: LabeledSample, test_points: np.ndarray,
+                                      test_labels: np.ndarray, gamma: float) -> np.ndarray:
+    """Oracle: the adversarial separator after the full labeling enumeration of
+    shatter_at_origin, with no eigenvalue test first."""
+    test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
+    test_labels = np.atleast_1d(np.asarray(test_labels, dtype=float))
+    combined = np.vstack([S_train.points, test_points])
+    cert = shatter_at_origin(SampleMatrix(combined), gamma)
+    if not cert.shattered:
+        raise NotShatteredError(
+            f"combined set not shattered at gamma={gamma} "
+            f"(worst value {cert.worst_value:.4g}, Gram condition {cert.gram_condition:.3g})")
+    targets = np.concatenate([S_train.labels, -test_labels])
+    return min_norm_interpolator(combined / gamma, targets)
+
+
+def per_size_learning_curve(spec: DistributionSpec, gamma: float, m_grid, trials: int,
+                            learner_kind: str, seed: int, workers: int = 1) -> LearningCurve:
+    """Oracle: one trial map per grid size, each trial drawing its train and
+    test samples afresh at that size."""
+
+    def one(m: int, t: int) -> float:
+        return _run_learner(learner_kind, sample(spec, m, seed, stream=2 * t),
+                            sample(spec, m, seed, stream=2 * t + 1),
+                            gamma, seed=seed * 1_000_003 + t)
+
+    entries = []
+    for m in m_grid:
+        errs = np.array(map_trials(lambda t: one(m, t), trials, workers))
+        entries.append(CurveEntry(m=int(m), mean_test_error=float(errs.mean()),
+                                  std_error=float(errs.std(ddof=1) / math.sqrt(trials))
+                                  if trials > 1 else 0.0,
+                                  trials=trials))
+    digest = hashlib.sha256(
+        json.dumps(spec.to_json(), sort_keys=True).encode()).hexdigest()[:16]
+    return LearningCurve(gamma=float(gamma), entries=tuple(entries),
+                         learner_kind=learner_kind, distribution_digest=digest,
+                         lstar=estimate_lstar(spec, gamma, seed), seed=seed)

@@ -233,6 +233,21 @@ class TestMain:
         ("eigen-prob", "dist", {**FULL_SPEC, "variances": [1.0]}),
         ("eigen-prob", "dist", {**FULL_SPEC, "rotation": [[1.0, 1.0], [0.0, 1.0]]}),
         ("eigen-prob", "dist", 5),
+        ("eigen-prob", "dist", {**FULL_SPEC, "label_model": {"kind": "halfspace", "w": [1.0]}}),
+        ("eigen-prob", "dist", {**FULL_SPEC, "label_model": {
+            "kind": "halfspace_with_flip", "w": [1.0, 0.0, 0.0], "flip": 0.1}}),
+        ("eigen-prob", "dist", {**FULL_SPEC, "label_model": {"kind": "mixture_component"}}),
+        ("eigen-prob", "dist", {**FULL_SPEC, "label_model": {"kind": "mixture_component"},
+                                "laws": [{"kind": "gaussian_mixture_symmetric",
+                                          "params": {"v": "1"}}, {"kind": "gaussian"}]}),
+        ("eigen-prob", "dist", {**FULL_SPEC, "label_model": {"kind": "mixture_component"},
+                                "laws": [{"kind": "gaussian_mixture_symmetric",
+                                          "params": {"v": float("nan")}}, {"kind": "gaussian"}]}),
+        ("eigen-prob", "dist", {**FULL_SPEC, "label_model": {
+            "kind": "halfspace", "w": [float("nan"), 1.0]}}),
+        ("eigen-prob", "dist", {**FULL_SPEC, "label_model": {
+            "kind": "halfspace", "w": [0.0, 0.0]}}),
+        ("edge-check", "d", 6),
     ])
     def test_bad_config_value_exit_two(self, tmp_path, capsys, command, field, value):
         good = {"schema_version": 1, **self.BASE_CONFIGS[command],

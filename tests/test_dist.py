@@ -267,8 +267,14 @@ def test_spec_validation():
                          label_model=LabelModel("coin", p=0.5))
     with pytest.raises(DistSpecError):
         LabelModel("coin", p=1.5)
+    for params in ({}, {"v": 0.0}, {"v": -1.0}, {"v": math.inf}, {"v": "1"}, {"v": True}):
+        with pytest.raises(DistSpecError):
+            CoordinateLaw(GAUSSIAN_MIXTURE_SYMMETRIC, params)
+    for w in ([1.0, math.nan], [0.0, 0.0], [1.0], [1.0, 0.0, 0.0]):
+        with pytest.raises(DistSpecError):
+            gaussian_spec([1.0, 1.0], label=LabelModel("halfspace", w=w))
     with pytest.raises(DistSpecError):
-        CoordinateLaw(GAUSSIAN_MIXTURE_SYMMETRIC)
+        gaussian_spec([1.0, 1.0], label=LabelModel("mixture_component"))
     for bad in ([1.0, -1.0], [1.0, math.nan], [math.inf, 1.0]):
         with pytest.raises(DistSpecError):
             gaussian_spec(bad)

@@ -24,6 +24,11 @@ def test_philox_only_in_dist():
     assert calls_outside("dist.py", r"Philox\(") == []
 
 
+def test_trial_maps_only_in_randmat():
+    """Every parallel trial map goes through randmat.map_trials."""
+    assert calls_outside("randmat.py", r"Executor\(|Pool\(|multiprocessing") == []
+
+
 def test_cli_reads_and_writes_no_csv():
     """Each file format is read and written in its own module, not in the CLI."""
     source = (SRC / "cli.py").read_text().splitlines()

@@ -5,9 +5,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from margin_spectra import learner
 from margin_spectra.dist import (
     CoordinateLaw,
     DistributionSpec,
+    DistSpecError,
     LabelModel,
     paper_example,
     sample,
@@ -29,8 +31,8 @@ from margin_spectra.learner import (
     read_curve_csv,
     write_curve_csv,
 )
-from margin_spectra.optim import UNIT_BALL_TOL, ConstraintSystem
-from oracles import brute_force_min_norm
+from margin_spectra.optim import SINGULARITY_RATIO, UNIT_BALL_TOL, ConstraintSystem
+from oracles import brute_force_min_norm, enumerating_adversarial_minimizer, per_size_learning_curve
 
 
 def min_margin_loss_oracle(S, gamma):
@@ -177,6 +179,69 @@ class TestAdversarial:
         with pytest.raises(NotShatteredError):
             adversarial_minimizer(train, np.array([[1.0, 0.0]]), np.array([1.0]), 1.0)
 
+    @staticmethod
+    def outcome(minimizer, train, test_points, test_labels, gamma):
+        try:
+            return minimizer(train, test_points, test_labels, gamma).tobytes()
+        except NotShatteredError as e:
+            return str(e)
+
+    def instances(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):  # random sets, shattered or not
+            m_train, m_test = rng.integers(1, 6, size=2)
+            d = int(rng.integers(2, 13))
+            pts = rng.standard_normal((m_train + m_test, d)) * math.sqrt(d)
+            yield pts, rng.choice([-1.0, 1.0], m_train + m_test), 10.0 ** rng.uniform(-1, 0.5)
+        h = np.array([[1.0, 1.0], [1.0, -1.0]])
+        h8 = np.kron(np.kron(h, h), h)
+        for gamma in (0.5, 1.0, 1.0 + 1e-12, 2.0):  # exact ties lambda_min = m at gamma 1
+            yield h8, np.array([1.0, -1.0] * 4), gamma
+            yield h8[:5], np.array([1.0, 1.0, -1.0, 1.0, -1.0]), gamma
+        for scale in (1e-3, 1e3, 1e5, 1e6):  # ill-scaled rows
+            pts = np.diag([scale, 1.0, 1.0, 0.5]) @ rng.standard_normal((4, 6))
+            for gamma in (0.01, 0.3):
+                yield pts, np.array([1.0, -1.0, 1.0, 1.0]), gamma
+
+    def test_matches_enumerating_oracle(self):
+        for pts, y, gamma in self.instances():
+            k = max(1, len(y) // 2)
+            args = (LabeledSample(pts[:k], y[:k]), pts[k:], y[k:], gamma)
+            assert self.outcome(adversarial_minimizer, *args) == self.outcome(
+                enumerating_adversarial_minimizer, *args)
+
+    def test_near_singular_gram_passing_eigenvalue_test(self):
+        # lambda_min = 1 >= 2 gamma^2, yet the eigenvalue ratio 1e-12 is below
+        # SINGULARITY_RATIO: the same not-shattered verdict as the enumeration
+        train = LabeledSample(np.array([[1e6, 0.0]]), [1.0])
+        args = (train, np.array([[0.0, 1.0]]), np.array([1.0]), 0.1)
+        assert 1e-12 <= SINGULARITY_RATIO
+        with pytest.raises(NotShatteredError, match="worst value inf"):
+            adversarial_minimizer(*args)
+        assert self.outcome(adversarial_minimizer, *args) == self.outcome(
+            enumerating_adversarial_minimizer, *args)
+
+    def test_eigenvalue_test_skips_enumeration(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerated although the eigenvalue test holds")
+
+        monkeypatch.setattr(learner, "shatter_at_origin", no_enumeration)
+        train = LabeledSample(2.0 * np.eye(4)[:2], [1.0, -1.0])
+        w = adversarial_minimizer(train, 2.0 * np.eye(4)[2:], np.array([1.0, 1.0]), 1.0)
+        assert np.array_equal(np.sign(2.0 * np.eye(4)[2:] @ w), [-1.0, -1.0])
+
+    @pytest.mark.parametrize("test_labels", [[0.5, 3.0], [1.0], [1.0, -1.0, 1.0]])
+    def test_rejects_bad_test_labels(self, test_labels):
+        train = LabeledSample(2.0 * np.eye(4)[:2], [1.0, -1.0])
+        with pytest.raises(ValueError, match="labels"):
+            adversarial_minimizer(train, 2.0 * np.eye(4)[2:], np.array(test_labels), 1.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_gamma(self, gamma):
+        train = LabeledSample(np.array([[1.0, 0.0]]), [1.0])
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            adversarial_minimizer(train, np.array([[0.0, 1.0]]), np.array([1.0]), gamma)
+
 
 class TestGenerative:
     def test_two_cluster_rule(self):
@@ -276,6 +341,52 @@ class TestLearningCurve:
         spec = paper_example("bernoulli", d=4)
         with pytest.raises(ValueError):
             learning_curve(spec, 1.0, [4], trials=2, learner_kind="svm", seed=1)
+
+    COIN = DistributionSpec(laws=(CoordinateLaw("gaussian"),) * 12, variances=np.ones(12),
+                            label_model=LabelModel("coin", p=0.5))
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("kind, spec, gamma, grid, trials", [
+        ("erm_exact", COIN, 2.0, [3, 6], 4),
+        ("erm_heuristic", COIN, 1.0, [8, 4, 6], 3),
+        ("adversarial", COIN, 0.1, [2, 4, 4], 3),
+        ("generative", paper_example("gaussian_mixture", d=3, v=1.0), 1.0, [6, 2], 1),
+    ])
+    def test_matches_per_size_oracle(self, kind, spec, gamma, grid, trials, workers):
+        """Prefixes of one draw per stream score every size as fresh draws do."""
+        assert learning_curve(spec, gamma, grid, trials, kind, seed=7, workers=workers) == \
+            per_size_learning_curve(spec, gamma, grid, trials, kind, seed=7, workers=workers)
+
+    def test_one_trial_map_and_one_draw_per_stream(self, monkeypatch):
+        maps, draws = [], []
+        map_trials = learner.map_trials
+
+        def counting_map(fn, trials, workers):
+            maps.append(trials)
+            return map_trials(fn, trials, workers)
+
+        def counting_sample(spec, m, seed, stream=0):
+            draws.append((m, stream))
+            return sample(spec, m, seed, stream=stream)
+
+        monkeypatch.setattr(learner, "map_trials", counting_map)
+        monkeypatch.setattr(learner, "sample", counting_sample)
+        learning_curve(self.COIN, 1.0, [4, 8, 6], trials=3, learner_kind="generative",
+                       seed=1, workers=2)
+        assert maps == [3]
+        assert sorted(draws) == [(8, s) for s in range(6)]
+
+    @pytest.mark.parametrize("grid", [[4, 0], [-1, 4], [0]])
+    def test_grid_size_below_one_raises_before_drawing(self, grid, monkeypatch):
+        monkeypatch.setattr(learner, "sample", None)  # any draw would fail differently
+        with pytest.raises(DistSpecError, match="m must be positive"):
+            learning_curve(self.COIN, 1.0, grid, trials=2, learner_kind="generative", seed=1)
+
+    @pytest.mark.parametrize("grid, trials", [([4], 0), ([4], -1), ([], 2)])
+    def test_no_trials_or_empty_grid_raises(self, grid, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1 and m_grid non-empty"):
+            learning_curve(self.COIN, 1.0, grid, trials=trials, learner_kind="generative",
+                           seed=1)
 
 
 class TestSampleComplexity:
