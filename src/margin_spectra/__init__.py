@@ -13,7 +13,6 @@ from .spectral import (  # noqa: F401
 )
 from .shatter import (  # noqa: F401
     FatShatteringEstimate,
-    SampleMatrix,
     ShatterCertificate,
     fat_shattering_search,
     fat_shattering_upper_bound,

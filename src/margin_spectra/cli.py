@@ -150,7 +150,7 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
         summary = {"k": res.k, "gamma": res.gamma, "tail_sum": res.tail_sum}
     elif config.command == "limit-cert":
         pts = read_points_csv(p["points_csv"])
-        cert = set_limit_certificate(pts.rows, int(p["k"]))
+        cert = set_limit_certificate(pts, int(p["k"]))
         path = out_dir / "limit_cert.json"
         path.write_text(json.dumps({
             "b": cert.b, "k": cert.k,

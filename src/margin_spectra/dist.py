@@ -176,15 +176,31 @@ class DistributionSpec:
                                 rotation=None if rot is None else np.array(rot, dtype=float))
 
 
+def finite_points(points) -> np.ndarray:
+    """A point set as a 2-D float array, one point per row; raises ValueError
+    when an entry is NaN or infinite.  The one check on point matrices: a
+    labeled sample, every shatter entry point and a points CSV pass through it."""
+    X = np.atleast_2d(np.asarray(points, dtype=float))
+    if X.ndim != 2:
+        raise ValueError(f"sample matrix must be 2-D, got shape {X.shape}")
+    # a sum of finite entries is finite unless it overflows, so the entry-wise
+    # test (and its mask as large as X) is needed only when the sum is not
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = X.sum()
+    if not np.isfinite(total) and not np.isfinite(X).all():
+        raise ValueError("sample matrix entries must be finite")
+    return X
+
+
 @dataclass(frozen=True)
 class LabeledSample:
-    """Points (rows) with +-1 labels; checks shapes and label values."""
+    """Points (rows) with +-1 labels; checks shapes, finite points and label values."""
 
     points: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = finite_points(self.points)
         y = np.atleast_1d(np.asarray(self.labels, dtype=float))
         if pts.shape[0] != y.size:
             raise ValueError("points/labels length mismatch")

@@ -21,7 +21,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .dist import DistributionSpec, DistSpecError, LabeledSample, _sample_rows, sample
+from .dist import (
+    GAUSSIAN_MIXTURE_SYMMETRIC,
+    DistributionSpec,
+    DistSpecError,
+    LabeledSample,
+    _sample_rows,
+    sample,
+)
 from .optim import (
     UNIT_BALL_TOL,
     ConstraintSystem,
@@ -30,7 +37,7 @@ from .optim import (
     solve_min_norm_ineq,
 )
 from .randmat import map_trials
-from .shatter import SampleMatrix, lambda_min_sufficient, shatter_at_origin
+from .shatter import check_gamma, lambda_min_sufficient, shatter_at_origin
 
 EXACT_CAP = 16
 MARGIN_TOL = 1e-9
@@ -109,6 +116,7 @@ def _pattern_feasible(S: LabeledSample, pattern, gamma: float):
 def margin_error_minimize(S: LabeledSample, gamma: float, mode: str = "exact",
                           seed: int = 0) -> LearnerOutput:
     """Unit-ball predictor minimizing the empirical margin loss at gamma."""
+    check_gamma(gamma)
     if mode == "exact":
         if S.m > EXACT_CAP:
             raise ExactCapError(
@@ -185,18 +193,17 @@ def adversarial_minimizer(S_train: LabeledSample, test_points: np.ndarray,
     too near singular to invert (which the enumeration reports).
     """
     test = LabeledSample(test_points, test_labels)
-    combined = SampleMatrix(np.vstack([S_train.points, test.points]))
+    combined = np.vstack([S_train.points, test.points])
     targets = np.concatenate([S_train.labels, -test.labels])
-    # a gamma that is not positive goes on to shatter_at_origin, which rejects it
-    if gamma > 0 and lambda_min_sufficient(combined, gamma):
+    if lambda_min_sufficient(combined, gamma):
         with contextlib.suppress(SingularGramError):
-            return min_norm_interpolator(combined.rows / gamma, targets)
+            return min_norm_interpolator(combined / gamma, targets)
     cert = shatter_at_origin(combined, gamma)
     if not cert.shattered:
         raise NotShatteredError(
             f"combined set not shattered at gamma={gamma} "
             f"(worst value {cert.worst_value:.4g}, Gram condition {cert.gram_condition:.3g})")
-    return min_norm_interpolator(combined.rows / gamma, targets)
+    return min_norm_interpolator(combined / gamma, targets)
 
 
 @dataclass(frozen=True)
@@ -227,15 +234,17 @@ def estimate_lstar(spec: DistributionSpec, gamma: float, seed: int,
     """Margin-loss proxy of the known best separator, by Monte Carlo.
 
     Upper-bounds the optimal margin loss: uses the labeling halfspace
-    direction when the label model is a halfspace, and the mixture axis for
-    the mixture-component model.  None when no best direction is known.
+    direction when the label model is a halfspace, and for the
+    mixture-component model the axis of the first mixture coordinate, whose
+    component sign is the label.  None when no best direction is known.
     """
+    check_gamma(gamma)
     lm = spec.label_model
     if lm.kind in ("halfspace", "halfspace_with_flip"):
         w = lm.w / np.linalg.norm(lm.w)
     elif lm.kind == "mixture_component":
         w = np.zeros(spec.d)
-        w[0] = 1.0
+        w[[law.kind for law in spec.laws].index(GAUSSIAN_MIXTURE_SYMMETRIC)] = 1.0
         if spec.rotation is not None:
             w = spec.rotation @ w
     else:
@@ -278,6 +287,7 @@ def learning_curve(spec: DistributionSpec, gamma: float, m_grid, trials: int,
     Trial t draws its train (stream 2t) and test (stream 2t+1) samples once, at
     the largest grid size, and scores each size m on their m-prefixes.
     """
+    check_gamma(gamma)
     m_grid = list(m_grid)
     if trials < 1 or not m_grid:
         raise ValueError("trials must be >= 1 and m_grid non-empty")

@@ -142,15 +142,6 @@ def min_norm_interpolator(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return X.T @ ginv_y
 
 
-def min_norm_quadratic_form(X: np.ndarray, y: np.ndarray) -> float:
-    """y' (XX')^{-1} y, the squared norm of the least-norm interpolator."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    evals, evecs = gram_eig(X)
-    c = evecs.T @ y
-    return float(np.sum(c * c / evals))
-
-
 def solve_min_norm_ineq(cs: ConstraintSystem) -> QpSolution:
     """Minimize ||w||^2 subject to a_i . w >= b_i as a least-distance program.
 

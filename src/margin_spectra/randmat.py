@@ -24,7 +24,7 @@ import numpy as np
 
 from .dist import DistributionSpec, sample
 from .optim import gram_lambda_min, gram_lambda_min_at_least
-from .shatter import SampleMatrix, lambda_min_sufficient
+from .shatter import check_gamma, lambda_min_sufficient
 
 
 class MUnderlineNotFound(RuntimeError):
@@ -77,6 +77,14 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return lo, hi
 
 
+def _prob_estimate(m: int, gamma: float, successes: int, trials: int,
+                   seed: int) -> EigenProbEstimate:
+    """The success frequency of `trials` trials at size m, with its Wilson interval."""
+    lo, hi = wilson_interval(successes, trials)
+    return EigenProbEstimate(m=m, gamma=float(gamma), prob=successes / trials,
+                             ci_low=lo, ci_high=hi, trials=trials, seed=seed)
+
+
 def map_trials(fn, trials: int, workers: int):
     """Apply fn to each trial index on at most one thread per CPU; order by index."""
     workers = min(workers, os.cpu_count() or 1)
@@ -91,14 +99,12 @@ def estimate_shatter_prob(spec: DistributionSpec, gamma: float, m: int,
     """P[lambda_min(XX') >= m gamma^2] over `trials` independent m-samples."""
     if trials < 1 or m < 1:
         raise ValueError("trials and m must be >= 1")
+    check_gamma(gamma)
 
     def one(t: int) -> bool:
         return lambda_min_sufficient(sample(spec, m, seed, stream=t).points, gamma)
 
-    successes = sum(map_trials(one, trials, workers))
-    lo, hi = wilson_interval(successes, trials)
-    return EigenProbEstimate(m=m, gamma=float(gamma), prob=successes / trials,
-                             ci_low=lo, ci_high=hi, trials=trials, seed=seed)
+    return _prob_estimate(m, gamma, sum(map_trials(one, trials, workers)), trials, seed)
 
 
 def _trial_threshold(spec: DistributionSpec, gamma: float, m_max: int,
@@ -110,7 +116,7 @@ def _trial_threshold(spec: DistributionSpec, gamma: float, m_max: int,
     Gram matrix of the m-prefix is the leading m x m block of one Gram matrix
     per trial.
     """
-    X = SampleMatrix(sample(spec, m_max, seed, stream=stream).points).rows
+    X = sample(spec, m_max, seed, stream=stream).points
     G = X @ X.T
 
     def success(m: int) -> bool:
@@ -133,6 +139,7 @@ def m_underline(spec: DistributionSpec, gamma: float, m_max: int,
     """Half the minimal m at which the shatter probability drops below 1/2."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    check_gamma(gamma)
 
     thresholds = np.array(map_trials(
         lambda t: _trial_threshold(spec, gamma, m_max, seed, t), trials, workers))
@@ -140,10 +147,7 @@ def m_underline(spec: DistributionSpec, gamma: float, m_max: int,
     estimates = []
     first_failing = None
     for m in range(1, m_max + 1):
-        successes = int(np.sum(thresholds > m))
-        lo, hi = wilson_interval(successes, trials)
-        est = EigenProbEstimate(m=m, gamma=float(gamma), prob=successes / trials,
-                                ci_low=lo, ci_high=hi, trials=trials, seed=seed)
+        est = _prob_estimate(m, gamma, int(np.sum(thresholds > m)), trials, seed)
         estimates.append(est)
         if first_failing is None and est.prob < 0.5:
             first_failing = m

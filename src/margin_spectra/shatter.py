@@ -16,13 +16,13 @@ from itertools import combinations
 
 import numpy as np
 
+from .dist import finite_points
 from .optim import (
     UNIT_BALL_TOL,
     ConstraintSystem,
     SingularGramError,
     gram_eig,
     gram_lambda_min_at_least,
-    min_norm_interpolator,
     solve_min_norm_ineq,
 )
 
@@ -38,25 +38,6 @@ class EnumerationCapError(ValueError):
 
 class SubsetBudgetError(ValueError):
     """Combinatorial subset budget exceeded; retry with a smaller max_subset."""
-
-
-@dataclass(frozen=True)
-class SampleMatrix:
-    rows: np.ndarray
-
-    def __post_init__(self):
-        r = np.atleast_2d(np.asarray(self.rows, dtype=float))
-        if not np.all(np.isfinite(r)):
-            raise ValueError("sample matrix entries must be finite")
-        object.__setattr__(self, "rows", r)
-
-    @property
-    def m(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.rows.shape[1]
 
 
 @dataclass
@@ -86,6 +67,12 @@ class FatShatteringEstimate:
     gamma: float
 
 
+def check_gamma(gamma) -> None:
+    """Reject a margin gamma that is not a positive finite number."""
+    if not (0 < gamma < math.inf):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+
+
 def _sign_block(m: int, start: int, count: int) -> np.ndarray:
     """Rows `start..start+count` of the {+-1}^m enumeration with y[0] = +1."""
     idx = np.arange(start, start + count, dtype=np.uint64)[:, None]
@@ -96,27 +83,25 @@ def _sign_block(m: int, start: int, count: int) -> np.ndarray:
     return y
 
 
-def shatter_at_origin(X: SampleMatrix | np.ndarray, gamma: float,
-                      cap: int = DEFAULT_CAP) -> ShatterCertificate:
+def shatter_at_origin(X: np.ndarray, gamma: float) -> ShatterCertificate:
     """Exact origin-shattering verdict at margin gamma by labeling enumeration.
 
     Since y and -y give the same quadratic form, only 2^(m-1) labelings are
     evaluated.  Gram singularity (including m > d) yields a not-shattered
-    verdict with the offending eigenvalue ratio in `gram_condition`.
+    verdict with the offending eigenvalue ratio in `gram_condition`.  At most
+    DEFAULT_CAP points are enumerated.
     """
-    if not isinstance(X, SampleMatrix):
-        X = SampleMatrix(X)
-    if not (gamma > 0):
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    m = X.m
-    if m > cap:
-        raise EnumerationCapError(f"m={m} exceeds enumeration cap {cap}")
+    X = finite_points(X)
+    check_gamma(gamma)
+    m, d = X.shape
+    if m > DEFAULT_CAP:
+        raise EnumerationCapError(f"m={m} exceeds enumeration cap {DEFAULT_CAP}")
     try:
-        evals, evecs = gram_eig(X.rows / gamma)
+        evals, evecs = gram_eig(X / gamma)
         ratio = float(evals[0]) / float(evals[-1])
     except SingularGramError as e:
         evals, ratio = None, e.ratio
-    if evals is None or m > X.d:
+    if evals is None or m > d:
         return ShatterCertificate(shattered=False, gamma=float(gamma),
                                   worst_labeling=None, worst_value=math.inf,
                                   gram_condition=ratio)
@@ -137,54 +122,46 @@ def shatter_at_origin(X: SampleMatrix | np.ndarray, gamma: float,
                               worst_value=worst, gram_condition=ratio)
 
 
-def shatter_witness(X: SampleMatrix | np.ndarray, gamma: float, y: np.ndarray) -> np.ndarray:
-    """Separator w with ||w|| <= 1 and y_i <x_i, w> = gamma for a shattered set."""
-    if not isinstance(X, SampleMatrix):
-        X = SampleMatrix(X)
-    y = np.asarray(y, dtype=float)
-    return min_norm_interpolator(X.rows / gamma, y)
-
-
-def lambda_min_sufficient(X: SampleMatrix | np.ndarray, gamma: float) -> bool:
+def lambda_min_sufficient(X: np.ndarray, gamma: float) -> bool:
     """Sufficient condition: smallest Gram eigenvalue >= m * gamma^2.
 
     One-directional: True implies origin-shattering at margin gamma; False is
     inconclusive.
     """
-    if not isinstance(X, SampleMatrix):
-        X = SampleMatrix(X)
-    return gram_lambda_min_at_least(X.rows @ X.rows.T, X.m * gamma * gamma)
+    X = finite_points(X)
+    check_gamma(gamma)
+    return gram_lambda_min_at_least(X @ X.T, X.shape[0] * gamma * gamma)
 
 
-def shatter_with_offsets(X: SampleMatrix | np.ndarray, r: np.ndarray, gamma: float,
-                         cap: int = DEFAULT_CAP) -> bool:
+def shatter_with_offsets(X: np.ndarray, r: np.ndarray, gamma: float) -> bool:
     """Shattering with caller-supplied offsets r, decided labeling by labeling.
 
     Each labeling y requires some w with ||w|| <= 1 and
     y_i(<x_i, w> - r_i) >= gamma, i.e. the min-norm point under the
-    constraints (y_i x_i) . w >= gamma + y_i r_i must have norm <= 1.
+    constraints (y_i x_i) . w >= gamma + y_i r_i must have norm <= 1.  At most
+    DEFAULT_CAP points are enumerated.
     """
-    if not isinstance(X, SampleMatrix):
-        X = SampleMatrix(X)
+    X = finite_points(X)
+    check_gamma(gamma)
     r = np.asarray(r, dtype=float)
-    m = X.m
-    if m > cap:
-        raise EnumerationCapError(f"m={m} exceeds enumeration cap {cap}")
+    m = X.shape[0]
+    if m > DEFAULT_CAP:
+        raise EnumerationCapError(f"m={m} exceeds enumeration cap {DEFAULT_CAP}")
     for mask in range(1 << m):
         y = 1.0 - 2.0 * ((mask >> np.arange(m)) & 1)
-        cs = ConstraintSystem(y[:, None] * X.rows, gamma + y * r)
+        cs = ConstraintSystem(y[:, None] * X, gamma + y * r)
         sol = solve_min_norm_ineq(cs)
         if sol.status != "optimal" or sol.objective > 1.0 + UNIT_BALL_TOL:
             return False
     return True
 
 
-def fat_shattering_upper_bound(points: SampleMatrix | np.ndarray, gamma: float) -> int:
+def fat_shattering_upper_bound(points: np.ndarray, gamma: float) -> int:
     """floor of min over k of (3/2)(b_k / gamma^2 + k + 1), b_k the b of
     spectral.set_limit_certificate(points, k), all read from one thin SVD."""
-    if not isinstance(points, SampleMatrix):
-        points = SampleMatrix(points)
-    u, s, _ = np.linalg.svd(points.rows, full_matrices=False)
+    points = finite_points(points)
+    check_gamma(gamma)
+    u, s, _ = np.linalg.svd(points, full_matrices=False)
     # squared norms off the top-k singular subspace; b_k = 0 from k = len(s)
     # on, where larger k only raise the bound
     tails = np.cumsum(((u * s) ** 2)[:, ::-1], axis=1)[:, ::-1]
@@ -193,8 +170,8 @@ def fat_shattering_upper_bound(points: SampleMatrix | np.ndarray, gamma: float) 
     return int(math.floor(float(bound.min()) + 1e-9))
 
 
-def fat_shattering_search(points: SampleMatrix | np.ndarray, gamma: float,
-                          max_subset: int, cap: int = DEFAULT_CAP) -> FatShatteringEstimate:
+def fat_shattering_search(points: np.ndarray, gamma: float,
+                          max_subset: int) -> FatShatteringEstimate:
     """Bracket the fat-shattering dimension of a finite set.
 
     Lower bound: size of the largest subset certified origin-shattered by
@@ -202,12 +179,12 @@ def fat_shattering_search(points: SampleMatrix | np.ndarray, gamma: float,
     projection-limit formula.  lower <= upper is guaranteed by the theory; a
     violation is a library defect.
     """
-    if not isinstance(points, SampleMatrix):
-        points = SampleMatrix(points)
-    if max_subset > cap:
-        raise EnumerationCapError(f"max_subset={max_subset} exceeds cap {cap}")
-    m = points.m
-    smax = min(max_subset, m, points.d)
+    points = finite_points(points)
+    check_gamma(gamma)
+    if max_subset > DEFAULT_CAP:
+        raise EnumerationCapError(f"max_subset={max_subset} exceeds cap {DEFAULT_CAP}")
+    m, d = points.shape
+    smax = min(max_subset, m, d)
     n_subsets = sum(math.comb(m, s) for s in range(1, smax + 1))
     if n_subsets > SUBSET_BUDGET:
         raise SubsetBudgetError(
@@ -216,22 +193,22 @@ def fat_shattering_search(points: SampleMatrix | np.ndarray, gamma: float,
     upper = fat_shattering_upper_bound(points, gamma)
     for s in range(smax, 0, -1):
         for subset in combinations(range(m), s):
-            cert = shatter_at_origin(points.rows[list(subset)], gamma, cap=cap)
+            cert = shatter_at_origin(points[list(subset)], gamma)
             if cert.shattered:
                 return FatShatteringEstimate(lower=s, upper=upper,
                                              witness_subset=subset, gamma=float(gamma))
     return FatShatteringEstimate(lower=0, upper=upper, witness_subset=(), gamma=float(gamma))
 
 
-def read_points_csv(path) -> SampleMatrix:
+def read_points_csv(path) -> np.ndarray:
     """Read a point set from CSV: one point per row, numeric columns."""
     with open(path, newline="") as f:
         rows = [[float(v) for v in r] for r in csv.reader(f) if r]
-    return SampleMatrix(np.array(rows))
+    return finite_points(rows)
 
 
-def write_points_csv(path, points: SampleMatrix) -> None:
+def write_points_csv(path, points: np.ndarray) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        for row in points.rows:
+        for row in points:
             w.writerow([repr(float(v)) for v in row])

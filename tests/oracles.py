@@ -27,7 +27,7 @@ from margin_spectra.learner import (
 )
 from margin_spectra.optim import ConstraintSystem, gram_lambda_min, min_norm_interpolator
 from margin_spectra.randmat import map_trials
-from margin_spectra.shatter import SampleMatrix, shatter_at_origin
+from margin_spectra.shatter import shatter_at_origin
 from margin_spectra.spectral import set_limit_certificate
 
 
@@ -159,7 +159,7 @@ def enumerating_adversarial_minimizer(S_train: LabeledSample, test_points: np.nd
     test_points = np.atleast_2d(np.asarray(test_points, dtype=float))
     test_labels = np.atleast_1d(np.asarray(test_labels, dtype=float))
     combined = np.vstack([S_train.points, test_points])
-    cert = shatter_at_origin(SampleMatrix(combined), gamma)
+    cert = shatter_at_origin(combined, gamma)
     if not cert.shattered:
         raise NotShatteredError(
             f"combined set not shattered at gamma={gamma} "

@@ -11,7 +11,7 @@ from margin_spectra.cli import (
     run,
     validate_config,
 )
-from margin_spectra.shatter import SampleMatrix, write_points_csv
+from margin_spectra.shatter import write_points_csv
 from margin_spectra.spectral import CovarianceSpectrum, write_spectrum_csv
 
 
@@ -76,7 +76,7 @@ class TestRun:
 
     def test_shatter_check_writes_certificate(self, tmp_path):
         pts_path = tmp_path / "pts.csv"
-        write_points_csv(pts_path, SampleMatrix(math.sqrt(2) * np.eye(2)))
+        write_points_csv(pts_path, math.sqrt(2) * np.eye(2))
         report = run(ExperimentConfig("shatter-check", {
             "points_csv": str(pts_path), "gamma": 1.0}), tmp_path / "out")
         assert report["summary"]["shattered"] is True

@@ -11,6 +11,7 @@ from margin_spectra.dist import (
     CoordinateLaw,
     DistSpecError,
     DistributionSpec,
+    LabeledSample,
     LabelModel,
     paper_example,
     relative_moment,
@@ -278,3 +279,14 @@ def test_spec_validation():
     for bad in ([1.0, -1.0], [1.0, math.nan], [math.inf, 1.0]):
         with pytest.raises(DistSpecError):
             gaussian_spec(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_labeled_sample_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="sample matrix entries must be finite"):
+        LabeledSample(np.array([[1.0, bad], [0.0, 1.0]]), [1.0, -1.0])
+
+
+def test_labeled_sample_accepts_finite_points_whose_sum_overflows():
+    S = LabeledSample(np.full((2, 2), 1e308), [1.0, -1.0])
+    assert np.all(S.points == 1e308)

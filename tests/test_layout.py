@@ -34,3 +34,11 @@ def test_cli_reads_and_writes_no_csv():
     source = (SRC / "cli.py").read_text().splitlines()
     assert [line for line in source
             if re.search(r"^\s*(import|from)\s+csv\b|csv\.(reader|writer|Dict\w+)\(", line)] == []
+
+
+def test_one_finiteness_rule_for_points():
+    """Point matrices are checked by dist's one rule; outside dist, only the
+    spectrum check in spectral tests finiteness, and SampleMatrix is gone."""
+    assert [line.split(":")[0] for line in calls_outside("dist.py", r"isfinite\(")] == [
+        "spectral.py"]
+    assert calls_outside("", r"SampleMatrix") == []

@@ -118,6 +118,12 @@ class TestExactLearner:
         with pytest.raises(ValueError):
             margin_error_minimize(S, 1.0, mode="other")
 
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_gamma(self, mode, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            margin_error_minimize(xor_sample(), gamma, mode=mode)
+
 
 class TestHeuristicLearner:
     def test_never_beats_exact(self):
@@ -236,7 +242,7 @@ class TestAdversarial:
         with pytest.raises(ValueError, match="labels"):
             adversarial_minimizer(train, 2.0 * np.eye(4)[2:], np.array(test_labels), 1.0)
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_non_positive_gamma(self, gamma):
         train = LabeledSample(np.array([[1.0, 0.0]]), [1.0])
         with pytest.raises(ValueError, match="gamma must be positive"):
@@ -285,6 +291,24 @@ class TestLstar:
         spec = paper_example("gaussian_mixture", d=4, v=8.0)
         assert estimate_lstar(spec, 1.0, seed=1) < 0.05
 
+    def test_mixture_axis_is_the_mixture_coordinate(self):
+        # on the axis of the mixture at index 3 the margin is v + z, z ~ N(0, 1):
+        # lstar = P[4 + z < 2] = Phi(-2)
+        v = 4.0
+        laws = [CoordinateLaw("gaussian")] * 6
+        laws[3] = CoordinateLaw("gaussian_mixture_symmetric", {"v": v})
+        variances = np.ones(6)
+        variances[3] = 1.0 + v * v
+        spec = DistributionSpec(laws=tuple(laws), variances=variances,
+                                label_model=LabelModel("mixture_component"))
+        expected = 0.5 * (1 + math.erf(-2.0 / math.sqrt(2)))
+        assert estimate_lstar(spec, 2.0, seed=1, draws=20_000) == pytest.approx(expected, abs=0.01)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            estimate_lstar(paper_example("bernoulli", d=8), gamma, seed=1, draws=10)
+
     def test_chunked_draws_match_one_draw(self):
         rotation, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))
         flipped = DistributionSpec(
@@ -299,6 +323,12 @@ class TestLstar:
 
 
 class TestLearningCurve:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            learning_curve(paper_example("bernoulli", d=8), gamma, [4], trials=2,
+                           learner_kind="erm_exact", seed=1)
+
     def test_coin_labels_error_half(self):
         spec = DistributionSpec(laws=(CoordinateLaw("gaussian"),) * 3,
                                 variances=np.ones(3),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,10 @@ def test_prob_curve_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "m,gamma,prob,ci_low,ci_high,trials,seed"
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("estimate", [estimate_shatter_prob, m_underline])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_rejects_bad_gamma(estimate, gamma):
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        estimate(paper_example("bernoulli", d=8), gamma, 4, 5, seed=1)

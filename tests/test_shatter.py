@@ -12,7 +12,6 @@ from margin_spectra.optim import (
 )
 from margin_spectra.shatter import (
     EnumerationCapError,
-    SampleMatrix,
     SubsetBudgetError,
     fat_shattering_search,
     fat_shattering_upper_bound,
@@ -20,7 +19,6 @@ from margin_spectra.shatter import (
     read_points_csv,
     shatter_at_origin,
     shatter_with_offsets,
-    shatter_witness,
     write_points_csv,
 )
 
@@ -85,7 +83,7 @@ class TestShatterAtOrigin:
 
     def test_cap_error(self):
         with pytest.raises(EnumerationCapError):
-            shatter_at_origin(np.eye(5), 1.0, cap=4)
+            shatter_at_origin(np.eye(21), 1.0)
 
     def test_witness_margins(self):
         X = np.array([[1.1, 0], [0, 10.0]])
@@ -93,7 +91,7 @@ class TestShatterAtOrigin:
         assert cert.shattered
         for mask in range(4):
             y = np.array([1.0 if mask & 1 else -1.0, 1.0 if mask & 2 else -1.0])
-            w = shatter_witness(X, 1.0, y)
+            w = min_norm_interpolator(X / 1.0, y)
             assert np.linalg.norm(w) <= 1 + 1e-8
             assert np.all(y * (X @ w) >= 1.0 - 1e-8)
 
@@ -297,12 +295,45 @@ class TestFatShatteringSearch:
 
     def test_budget_error(self):
         with pytest.raises(SubsetBudgetError):
-            fat_shattering_search(np.eye(30), 1.0, 19, cap=20)
+            fat_shattering_search(np.eye(30), 1.0, 19)
 
 
 def test_points_csv_roundtrip(tmp_path):
-    pts = SampleMatrix(np.array([[1.5, -2.0], [0.0, 3.25]]))
+    pts = np.array([[1.5, -2.0], [0.0, 3.25]])
     path = tmp_path / "pts.csv"
     write_points_csv(path, pts)
-    back = read_points_csv(path)
-    assert np.array_equal(back.rows, pts.rows)
+    assert np.array_equal(read_points_csv(path), pts)
+
+
+# Each public entry point, called on a point set X at margin gamma.
+ENTRY_POINTS = {
+    "shatter_at_origin": lambda X, gamma: shatter_at_origin(X, gamma),
+    "lambda_min_sufficient": lambda X, gamma: lambda_min_sufficient(X, gamma),
+    "shatter_with_offsets": lambda X, gamma: shatter_with_offsets(X, np.zeros(len(X)), gamma),
+    "fat_shattering_upper_bound": lambda X, gamma: fat_shattering_upper_bound(X, gamma),
+    "fat_shattering_search": lambda X, gamma: fat_shattering_search(X, gamma, 2),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_entry_points_reject_non_finite_points(entry, bad):
+    X = math.sqrt(2) * np.eye(2)
+    X[1, 0] = bad
+    with pytest.raises(ValueError, match="sample matrix entries must be finite"):
+        ENTRY_POINTS[entry](X, 1.0)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_entry_points_reject_bad_gamma(entry, gamma):
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        ENTRY_POINTS[entry](math.sqrt(2) * np.eye(2), gamma)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_points_csv_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "pts.csv"
+    path.write_text(f"1.0,0.0\n0.0,{bad}\n")
+    with pytest.raises(ValueError, match="sample matrix entries must be finite"):
+        read_points_csv(path)
