@@ -9,14 +9,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .dist import SEED_LIMIT, DistributionSpec, paper_example
+from .checks import SEED_LIMIT, check_int, check_positive, check_unit
+from .dist import DistributionSpec, paper_example
 from .learner import (
     LEARNER_KINDS,
     empirical_sample_complexity,
@@ -64,27 +65,28 @@ _SCHEMAS = {
 }
 
 
-def _positive_int(v) -> bool:
-    return type(v) is int and v >= 1
+def _check_m_grid(name: str, v) -> None:
+    if type(v) is not list or not v:
+        raise ValueError(f"{name} must be a non-empty list of integers >= 1, got {v!r}")
+    for m in v:
+        check_int(f"{name} entry", m)
 
 
-def _positive_number(v) -> bool:
-    return type(v) in (int, float) and 0 < v < math.inf
+def _check_learner(name: str, v) -> None:
+    if v not in LEARNER_KINDS:
+        raise ValueError(f"{name} must be one of {', '.join(LEARNER_KINDS)}, got {v!r}")
 
 
-# field -> (accepts the value, what it must be); JSON true/false fail every rule
+# field -> the library's rule, called as rule(name, value); a ValueError names the field
 _FIELD_RULES = {
-    "seed": (lambda v: type(v) is int and 0 <= v < SEED_LIMIT, "an integer in [0, 2**63)"),
-    "k": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
-    **dict.fromkeys(("trials", "m", "m_max", "max_subset", "workers", "d"),
-                    (_positive_int, "an integer >= 1")),
-    **dict.fromkeys(("gamma", "budget_seconds"), (_positive_number, "a positive number")),
-    **dict.fromkeys(("beta", "epsilon"),
-                    (lambda v: type(v) in (int, float) and 0 < v < 1, "a number in (0, 1)")),
-    "lstar": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
-    "m_grid": (lambda v: type(v) is list and v != [] and all(map(_positive_int, v)),
-               "a non-empty list of integers >= 1"),
-    "learner": (lambda v: v in LEARNER_KINDS, f"one of {', '.join(LEARNER_KINDS)}"),
+    "seed": partial(check_int, least=0, below=SEED_LIMIT),
+    "k": partial(check_int, least=0),
+    **dict.fromkeys(("trials", "m", "m_max", "max_subset", "workers", "d"), check_int),
+    **dict.fromkeys(("gamma", "budget_seconds"), check_positive),
+    **dict.fromkeys(("beta", "epsilon"), check_unit),
+    "lstar": partial(check_unit, closed=True),
+    "m_grid": _check_m_grid,
+    "learner": _check_learner,
 }
 
 
@@ -101,9 +103,12 @@ def validate_config(command: str, raw: dict) -> ExperimentConfig:
         raise ConfigError(f"missing config fields: {sorted(missing)}")
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    for name, (ok, what) in _FIELD_RULES.items():
-        if name in raw and not ok(raw[name]):
-            raise ConfigError(f"{name} must be {what}, got {raw[name]!r}")
+    for name, rule in _FIELD_RULES.items():
+        if name in raw:
+            try:
+                rule(name, raw[name])
+            except ValueError as e:
+                raise ConfigError(str(e)) from None
     if "dist" in raw:
         try:
             spec = _dist_from_config(raw["dist"])  # the library's constructors decide

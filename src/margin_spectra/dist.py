@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import SEED_LIMIT, check_int, check_positive, check_unit, finite_points
 from .spectral import CovarianceSpectrum
 
 GAUSSIAN = "gaussian"
@@ -38,17 +39,8 @@ RELATIVE_MOMENTS = {
 }
 
 
-# Seeds and streams are Philox key words; values from 2**63 up alias others.
-SEED_LIMIT = 2**63
-
-
 class DistSpecError(ValueError):
     """Invalid distribution specification or parameters."""
-
-
-def _positive_finite(v) -> bool:
-    return (not isinstance(v, bool) and isinstance(v, (int, float, np.integer, np.floating))
-            and 0 < v < math.inf)
 
 
 def relative_moment(kind: str) -> float:
@@ -68,13 +60,8 @@ class CoordinateLaw:
 
     def __post_init__(self):
         relative_moment(self.kind)
-        if self.kind == GAUSSIAN_MIXTURE_SYMMETRIC and not _positive_finite(self.params.get("v")):
-            raise DistSpecError("gaussian_mixture_symmetric needs an offset param 'v', "
-                                f"a positive finite number, got {self.params.get('v')!r}")
-
-    @property
-    def relative_moment(self) -> float:
-        return relative_moment(self.kind)
+        if self.kind == GAUSSIAN_MIXTURE_SYMMETRIC:
+            check_positive("mixture offset param 'v'", self.params.get("v"), DistSpecError)
 
 
 @dataclass(frozen=True)
@@ -89,20 +76,16 @@ class LabelModel:
 
     def __post_init__(self):
         if self.kind in ("halfspace", "halfspace_with_flip"):
-            if self.w is None:
-                raise DistSpecError(f"{self.kind} label model needs a direction w")
-            w = np.asarray(self.w, dtype=float)
-            if not (np.all(np.isfinite(w)) and np.any(w)):
-                raise DistSpecError(f"{self.kind} direction w must be finite and non-zero")
+            w = finite_points(self.w, 1, f"{self.kind} direction w", DistSpecError)
+            if not np.any(w):
+                raise DistSpecError(f"{self.kind} direction w must be non-zero")
             object.__setattr__(self, "w", w)
         elif self.kind == "coin":
-            if self.p is None or not (0.0 <= self.p <= 1.0):
-                raise DistSpecError("coin label model needs p in [0, 1]")
+            check_unit("coin probability p", self.p, closed=True, error=DistSpecError)
         elif self.kind != "mixture_component":
             raise DistSpecError(f"unknown label model kind {self.kind!r}")
-        if self.kind == "halfspace_with_flip" and (
-                self.flip is None or not (0.0 <= self.flip <= 1.0)):
-            raise DistSpecError("halfspace_with_flip needs flip probability in [0, 1]")
+        if self.kind == "halfspace_with_flip":
+            check_unit("flip probability", self.flip, closed=True, error=DistSpecError)
 
 
 @dataclass(frozen=True)
@@ -121,11 +104,11 @@ class DistributionSpec:
 
     def __post_init__(self):
         laws = tuple(self.laws)
-        var = np.asarray(self.variances, dtype=float)
+        var = finite_points(self.variances, 1, "variances", DistSpecError)
         if len(laws) != var.size:
             raise DistSpecError(f"{len(laws)} laws but {var.size} variances")
-        if not np.all(np.isfinite(var) & (var >= 0)):
-            raise DistSpecError("variances must be finite and non-negative")
+        if np.any(var < 0):
+            raise DistSpecError("variances must be non-negative")
         lm = self.label_model
         if lm.w is not None and lm.w.shape != var.shape:
             raise DistSpecError(f"label direction w has shape {lm.w.shape}, need ({var.size},)")
@@ -176,22 +159,6 @@ class DistributionSpec:
                                 rotation=None if rot is None else np.array(rot, dtype=float))
 
 
-def finite_points(points) -> np.ndarray:
-    """A point set as a 2-D float array, one point per row; raises ValueError
-    when an entry is NaN or infinite.  The one check on point matrices: a
-    labeled sample, every shatter entry point and a points CSV pass through it."""
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    if X.ndim != 2:
-        raise ValueError(f"sample matrix must be 2-D, got shape {X.shape}")
-    # a sum of finite entries is finite unless it overflows, so the entry-wise
-    # test (and its mask as large as X) is needed only when the sum is not
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = X.sum()
-    if not np.isfinite(total) and not np.isfinite(X).all():
-        raise ValueError("sample matrix entries must be finite")
-    return X
-
-
 @dataclass(frozen=True)
 class LabeledSample:
     """Points (rows) with +-1 labels; checks shapes, finite points and label values."""
@@ -233,9 +200,8 @@ def _sample_rows(spec: DistributionSpec, start: int, stop: int, seed: int,
     [0, 0, 0, i] and an empty buffer: the state of a generator built for that
     point alone, at a fraction of the cost of building one.
     """
-    for name, value in (("seed", seed), ("stream", stream)):
-        if not isinstance(value, (int, np.integer)) or not 0 <= value < SEED_LIMIT:
-            raise DistSpecError(f"{name} must be an integer in [0, 2**63), got {value!r}")
+    check_int("seed", seed, least=0, below=SEED_LIMIT, error=DistSpecError)
+    check_int("stream", stream, least=0, below=SEED_LIMIT, error=DistSpecError)
     d = spec.d
     scale = np.sqrt(spec.variances)
     kinds = [l.kind for l in spec.laws]
@@ -294,23 +260,18 @@ def sample(spec: DistributionSpec, m: int, seed: int, stream: int = 0) -> Labele
     seed and stream must be integers in [0, 2**63): outside that range the
     Philox key would wrap, and distinct seeds would give the same sample.
     """
-    if m < 1:
-        raise DistSpecError(f"m must be positive, got {m}")
+    check_int("m", m, error=DistSpecError)
     points, labels = _sample_rows(spec, 0, m, seed, stream)
     return LabeledSample(points=points, labels=labels)
-
-
-PAPER_EXAMPLES = ("spiky", "bernoulli", "gaussian_mixture")
 
 
 def paper_example(name: str, d: int, v: float | None = None) -> DistributionSpec:
     """Stock example families: spiky spectrum, hypercube signs, two-Gaussian mixture.
 
     d must be an integer >= 2 and v, the mixture offset, a positive finite number."""
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 2:
-        raise DistSpecError(f"d must be an integer >= 2, got {d!r}")
-    if v is not None and not _positive_finite(v):
-        raise DistSpecError(f"v must be a positive finite number, got {v!r}")
+    check_int("d", d, least=2, error=DistSpecError)
+    if v is not None or name == "gaussian_mixture":
+        check_positive("v", v, DistSpecError)
     e1 = np.zeros(d)
     e1[0] = 1.0
     if name == "spiky":
@@ -325,8 +286,6 @@ def paper_example(name: str, d: int, v: float | None = None) -> DistributionSpec
         return DistributionSpec(laws=laws, variances=np.ones(d),
                                 label_model=LabelModel("halfspace", w=e1))
     if name == "gaussian_mixture":
-        if v is None:
-            raise DistSpecError("gaussian_mixture needs a positive offset v")
         laws = (CoordinateLaw(GAUSSIAN_MIXTURE_SYMMETRIC, {"v": float(v)}),) + tuple(
             CoordinateLaw(GAUSSIAN) for _ in range(d - 1))
         variances = np.ones(d)

@@ -21,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .checks import check_int, check_positive, check_unit
 from .dist import (
     GAUSSIAN_MIXTURE_SYMMETRIC,
     DistributionSpec,
@@ -37,7 +38,7 @@ from .optim import (
     solve_min_norm_ineq,
 )
 from .randmat import map_trials
-from .shatter import check_gamma, lambda_min_sufficient, shatter_at_origin
+from .shatter import lambda_min_sufficient, shatter_at_origin
 
 EXACT_CAP = 16
 MARGIN_TOL = 1e-9
@@ -103,8 +104,6 @@ def margin_loss(w: np.ndarray, S: LabeledSample, gamma: float) -> float:
 
 def _pattern_feasible(S: LabeledSample, pattern, gamma: float):
     """Min-norm w meeting margin gamma on the given index pattern, or None."""
-    if len(pattern) == 0:
-        return np.zeros(S.points.shape[1])
     idx = list(pattern)
     rows = S.labels[idx, None] * S.points[idx]
     sol = solve_min_norm_ineq(ConstraintSystem(rows, np.full(len(idx), gamma)))
@@ -116,7 +115,7 @@ def _pattern_feasible(S: LabeledSample, pattern, gamma: float):
 def margin_error_minimize(S: LabeledSample, gamma: float, mode: str = "exact",
                           seed: int = 0) -> LearnerOutput:
     """Unit-ball predictor minimizing the empirical margin loss at gamma."""
-    check_gamma(gamma)
+    check_positive("gamma", gamma)
     if mode == "exact":
         if S.m > EXACT_CAP:
             raise ExactCapError(
@@ -238,7 +237,8 @@ def estimate_lstar(spec: DistributionSpec, gamma: float, seed: int,
     mixture-component model the axis of the first mixture coordinate, whose
     component sign is the label.  None when no best direction is known.
     """
-    check_gamma(gamma)
+    check_positive("gamma", gamma)
+    check_int("draws", draws, error=DistSpecError)
     lm = spec.label_model
     if lm.kind in ("halfspace", "halfspace_with_flip"):
         w = lm.w / np.linalg.norm(lm.w)
@@ -249,8 +249,6 @@ def estimate_lstar(spec: DistributionSpec, gamma: float, seed: int,
             w = spec.rotation @ w
     else:
         return None
-    if draws < 1:
-        raise DistSpecError(f"draws must be positive, got {draws}")
     below = 0
     for start in range(0, draws, LSTAR_CHUNK):
         points, labels = _sample_rows(spec, start, min(start + LSTAR_CHUNK, draws),
@@ -287,7 +285,7 @@ def learning_curve(spec: DistributionSpec, gamma: float, m_grid, trials: int,
     Trial t draws its train (stream 2t) and test (stream 2t+1) samples once, at
     the largest grid size, and scores each size m on their m-prefixes.
     """
-    check_gamma(gamma)
+    check_positive("gamma", gamma)
     m_grid = list(m_grid)
     if trials < 1 or not m_grid:
         raise ValueError("trials must be >= 1 and m_grid non-empty")
@@ -318,8 +316,7 @@ def empirical_sample_complexity(curve: LearningCurve, epsilon: float) -> int | N
     None when the curve never gets there."""
     if curve.lstar is None:
         raise ValueError("curve has no lstar estimate")
-    if not (0 < epsilon < 1):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    check_unit("epsilon", epsilon)
     for e in curve.entries:
         if e.mean_test_error - curve.lstar <= epsilon:
             return e.m

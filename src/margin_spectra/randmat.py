@@ -22,9 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_int, check_positive, check_unit
 from .dist import DistributionSpec, sample
 from .optim import gram_lambda_min, gram_lambda_min_at_least
-from .shatter import check_gamma, lambda_min_sufficient
+from .shatter import lambda_min_sufficient
+
+WILSON_Z = 1.959963984540054  # the standard normal 0.975 quantile, for 95% intervals
 
 
 class MUnderlineNotFound(RuntimeError):
@@ -63,15 +66,15 @@ class EdgeCompareReport:
     rel_error: float
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, trials: int):
     """Wilson 95% score interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_int("trials", trials)
+    check_int("successes", successes, least=0, below=trials + 1)
     p = successes / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
+    half = WILSON_Z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
@@ -87,6 +90,8 @@ def _prob_estimate(m: int, gamma: float, successes: int, trials: int,
 
 def map_trials(fn, trials: int, workers: int):
     """Apply fn to each trial index on at most one thread per CPU; order by index."""
+    check_int("trials", trials)
+    check_int("workers", workers)
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(t) for t in range(trials)]
@@ -97,9 +102,8 @@ def map_trials(fn, trials: int, workers: int):
 def estimate_shatter_prob(spec: DistributionSpec, gamma: float, m: int,
                           trials: int, seed: int, workers: int = 1) -> EigenProbEstimate:
     """P[lambda_min(XX') >= m gamma^2] over `trials` independent m-samples."""
-    if trials < 1 or m < 1:
-        raise ValueError("trials and m must be >= 1")
-    check_gamma(gamma)
+    check_int("m", m)
+    check_positive("gamma", gamma)
 
     def one(t: int) -> bool:
         return lambda_min_sufficient(sample(spec, m, seed, stream=t).points, gamma)
@@ -137,9 +141,8 @@ def _trial_threshold(spec: DistributionSpec, gamma: float, m_max: int,
 def m_underline(spec: DistributionSpec, gamma: float, m_max: int,
                 trials: int, seed: int, workers: int = 1) -> MUnderlineResult:
     """Half the minimal m at which the shatter probability drops below 1/2."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    check_gamma(gamma)
+    check_int("m_max", m_max)
+    check_positive("gamma", gamma)
 
     thresholds = np.array(map_trials(
         lambda t: _trial_threshold(spec, gamma, m_max, seed, t), trials, workers))
@@ -161,16 +164,15 @@ def m_underline(spec: DistributionSpec, gamma: float, m_max: int,
 
 def asymptotic_edge(sigma: float, beta: float) -> float:
     """Limiting smallest eigenvalue sigma^2 (1 - sqrt(beta))^2 of (1/d) XX'."""
-    if not (0 < beta < 1):
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    check_unit("beta", beta)
+    check_positive("sigma", sigma)
     return sigma * sigma * (1.0 - math.sqrt(beta)) ** 2
 
 
 def edge_mc_compare(spec: DistributionSpec, beta: float, d: int,
                     trials: int, seed: int, workers: int = 1) -> EdgeCompareReport:
     """Empirical mean of lambda_min(XX')/d against the asymptotic edge."""
+    check_unit("beta", beta)
     kinds = {l.kind for l in spec.laws}
     if len(kinds) != 1 or spec.rotation is not None or np.ptp(spec.variances) != 0:
         raise ValueError("edge comparison requires iid coordinates (one law kind, "

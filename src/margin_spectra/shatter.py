@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dist import finite_points
+from .checks import check_int, check_positive, finite_points
 from .optim import (
     UNIT_BALL_TOL,
     ConstraintSystem,
@@ -29,6 +29,7 @@ from .optim import (
 DEFAULT_CAP = 20
 SUBSET_BUDGET = 10_000_000
 WORST_VALUE_SLACK = 1e-9
+FLOOR_SLACK = 1e-9  # so a bound that is an integer up to rounding floors to it
 _CHUNK = 1 << 16
 
 
@@ -67,12 +68,6 @@ class FatShatteringEstimate:
     gamma: float
 
 
-def check_gamma(gamma) -> None:
-    """Reject a margin gamma that is not a positive finite number."""
-    if not (0 < gamma < math.inf):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-
-
 def _sign_block(m: int, start: int, count: int) -> np.ndarray:
     """Rows `start..start+count` of the {+-1}^m enumeration with y[0] = +1."""
     idx = np.arange(start, start + count, dtype=np.uint64)[:, None]
@@ -92,7 +87,7 @@ def shatter_at_origin(X: np.ndarray, gamma: float) -> ShatterCertificate:
     DEFAULT_CAP points are enumerated.
     """
     X = finite_points(X)
-    check_gamma(gamma)
+    check_positive("gamma", gamma)
     m, d = X.shape
     if m > DEFAULT_CAP:
         raise EnumerationCapError(f"m={m} exceeds enumeration cap {DEFAULT_CAP}")
@@ -129,7 +124,7 @@ def lambda_min_sufficient(X: np.ndarray, gamma: float) -> bool:
     inconclusive.
     """
     X = finite_points(X)
-    check_gamma(gamma)
+    check_positive("gamma", gamma)
     return gram_lambda_min_at_least(X @ X.T, X.shape[0] * gamma * gamma)
 
 
@@ -138,13 +133,15 @@ def shatter_with_offsets(X: np.ndarray, r: np.ndarray, gamma: float) -> bool:
 
     Each labeling y requires some w with ||w|| <= 1 and
     y_i(<x_i, w> - r_i) >= gamma, i.e. the min-norm point under the
-    constraints (y_i x_i) . w >= gamma + y_i r_i must have norm <= 1.  At most
-    DEFAULT_CAP points are enumerated.
+    constraints (y_i x_i) . w >= gamma + y_i r_i must have norm <= 1.  r holds
+    one finite offset per point.  At most DEFAULT_CAP points are enumerated.
     """
     X = finite_points(X)
-    check_gamma(gamma)
-    r = np.asarray(r, dtype=float)
+    check_positive("gamma", gamma)
+    r = finite_points(r, 1, "offsets r")
     m = X.shape[0]
+    if r.shape != (m,):
+        raise ValueError(f"offsets r must have shape ({m},), got {r.shape}")
     if m > DEFAULT_CAP:
         raise EnumerationCapError(f"m={m} exceeds enumeration cap {DEFAULT_CAP}")
     for mask in range(1 << m):
@@ -160,14 +157,14 @@ def fat_shattering_upper_bound(points: np.ndarray, gamma: float) -> int:
     """floor of min over k of (3/2)(b_k / gamma^2 + k + 1), b_k the b of
     spectral.set_limit_certificate(points, k), all read from one thin SVD."""
     points = finite_points(points)
-    check_gamma(gamma)
+    check_positive("gamma", gamma)
     u, s, _ = np.linalg.svd(points, full_matrices=False)
     # squared norms off the top-k singular subspace; b_k = 0 from k = len(s)
     # on, where larger k only raise the bound
     tails = np.cumsum(((u * s) ** 2)[:, ::-1], axis=1)[:, ::-1]
     b = np.append(tails.max(axis=0), 0.0)
     bound = 1.5 * (b / (gamma * gamma) + np.arange(b.size) + 1)
-    return int(math.floor(float(bound.min()) + 1e-9))
+    return int(math.floor(float(bound.min()) + FLOOR_SLACK))
 
 
 def fat_shattering_search(points: np.ndarray, gamma: float,
@@ -180,7 +177,8 @@ def fat_shattering_search(points: np.ndarray, gamma: float,
     violation is a library defect.
     """
     points = finite_points(points)
-    check_gamma(gamma)
+    check_positive("gamma", gamma)
+    check_int("max_subset", max_subset)
     if max_subset > DEFAULT_CAP:
         raise EnumerationCapError(f"max_subset={max_subset} exceeds cap {DEFAULT_CAP}")
     m, d = points.shape

@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_int, check_positive, check_unit, finite_points
+
+# Summation-order slack of the tail inequality, relative to max(1, trace).
+TAIL_TOL = 1e-12
+
 
 class SpectrumValidationError(ValueError):
     """Raised for malformed spectra or out-of-range parameters."""
@@ -27,11 +32,7 @@ class CovarianceSpectrum:
     dimension: int = field(init=False)
 
     def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        if ev.ndim != 1 or ev.size == 0:
-            raise SpectrumValidationError("spectrum must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(ev)):
-            raise SpectrumValidationError("spectrum entries must be finite")
+        ev = finite_points(self.eigenvalues, 1, "spectrum", SpectrumValidationError)
         if np.any(ev < 0):
             raise SpectrumValidationError("spectrum entries must be non-negative")
         if np.any(np.diff(ev) > 0):
@@ -65,17 +66,11 @@ class GrowthBoundReport:
     holds: bool
 
 
-def _tail_tol(trace: float) -> float:
-    # summation-order slack for the tail inequality
-    return 1e-12 * max(1.0, trace)
-
-
 def k_gamma(spectrum: CovarianceSpectrum, gamma: float) -> AdaptedDimResult:
     """Minimal k with sum of eigenvalues beyond k at most gamma^2 * k."""
-    if not (gamma > 0):
-        raise SpectrumValidationError(f"gamma must be positive, got {gamma}")
+    check_positive("gamma", gamma, SpectrumValidationError)
     ev = spectrum.eigenvalues
-    tol = _tail_tol(spectrum.trace)
+    tol = TAIL_TOL * max(1.0, spectrum.trace)
     # tails[k] = sum of eigenvalues with index > k (0-based: ev[k:] summed from k)
     tails = np.concatenate([np.cumsum(ev[::-1])[::-1], [0.0]])
     g2 = gamma * gamma
@@ -87,8 +82,7 @@ def k_gamma(spectrum: CovarianceSpectrum, gamma: float) -> AdaptedDimResult:
 
 def b_for_k(spectrum: CovarianceSpectrum, k: int) -> float:
     """Sum of the d-k smallest eigenvalues (minimal b for the distribution variant)."""
-    if not (0 <= k <= spectrum.dimension):
-        raise SpectrumValidationError(f"k must be in [0, {spectrum.dimension}], got {k}")
+    check_int("k", k, least=0, below=spectrum.dimension + 1, error=SpectrumValidationError)
     return float(spectrum.eigenvalues[k:].sum())
 
 
@@ -99,12 +93,8 @@ def set_limit_certificate(points: np.ndarray, k: int) -> LimitCertificate:
     singular subspace and takes b as the maximum squared projected norm.  The
     certificate is valid but b is not guaranteed minimal over all subspaces.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 1:
-        raise SpectrumValidationError("need at least one point")
-    d = pts.shape[1]
-    if not (0 <= k <= d):
-        raise SpectrumValidationError(f"k must be in [0, {d}], got {k}")
+    pts = finite_points(points)
+    check_int("k", k, least=0, below=pts.shape[1] + 1, error=SpectrumValidationError)
     _, _, vt = np.linalg.svd(pts, full_matrices=True)
     basis = vt[k:]  # (d-k) x d, orthonormal rows
     if basis.shape[0] == 0:
@@ -116,8 +106,7 @@ def set_limit_certificate(points: np.ndarray, k: int) -> LimitCertificate:
 
 def check_growth_bound(spectrum: CovarianceSpectrum, gamma: float, alpha: float) -> GrowthBoundReport:
     """Check k_gamma <= k_{alpha*gamma} <= 2 k_gamma / alpha^2 + 1."""
-    if not (0 < alpha < 1):
-        raise SpectrumValidationError(f"alpha must be in (0, 1), got {alpha}")
+    check_unit("alpha", alpha, error=SpectrumValidationError)
     kg = k_gamma(spectrum, gamma).k
     kag = k_gamma(spectrum, alpha * gamma).k
     holds = kg <= kag <= 2 * kg / (alpha * alpha) + 1

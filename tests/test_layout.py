@@ -36,9 +36,12 @@ def test_cli_reads_and_writes_no_csv():
             if re.search(r"^\s*(import|from)\s+csv\b|csv\.(reader|writer|Dict\w+)\(", line)] == []
 
 
-def test_one_finiteness_rule_for_points():
-    """Point matrices are checked by dist's one rule; outside dist, only the
-    spectrum check in spectral tests finiteness, and SampleMatrix is gone."""
-    assert [line.split(":")[0] for line in calls_outside("dist.py", r"isfinite\(")] == [
-        "spectral.py"]
-    assert calls_outside("", r"SampleMatrix") == []
+def test_argument_rules_only_in_checks():
+    """Every finiteness test and every margin, count, probability and seed rule
+    is defined in checks; the copies other modules kept, and SampleMatrix, are gone."""
+    rules = r"def (check_positive|check_unit|check_int|finite_points)\b|SEED_LIMIT ="
+    assert len(re.findall(rules, (SRC / "checks.py").read_text())) == 5
+    assert calls_outside("checks.py", rules) == []
+    assert calls_outside("checks.py", r"isfinite\(") == []
+    assert calls_outside("", r"_positive_finite|_positive_int|_positive_number|"
+                             r"def check_gamma|SampleMatrix") == []

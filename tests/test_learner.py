@@ -119,7 +119,7 @@ class TestExactLearner:
             margin_error_minimize(S, 1.0, mode="other")
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, True])
     def test_rejects_bad_gamma(self, mode, gamma):
         with pytest.raises(ValueError, match="gamma must be positive"):
             margin_error_minimize(xor_sample(), gamma, mode=mode)
@@ -242,7 +242,7 @@ class TestAdversarial:
         with pytest.raises(ValueError, match="labels"):
             adversarial_minimizer(train, 2.0 * np.eye(4)[2:], np.array(test_labels), 1.0)
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, True])
     def test_rejects_non_positive_gamma(self, gamma):
         train = LabeledSample(np.array([[1.0, 0.0]]), [1.0])
         with pytest.raises(ValueError, match="gamma must be positive"):
@@ -304,7 +304,7 @@ class TestLstar:
         expected = 0.5 * (1 + math.erf(-2.0 / math.sqrt(2)))
         assert estimate_lstar(spec, 2.0, seed=1, draws=20_000) == pytest.approx(expected, abs=0.01)
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, True])
     def test_rejects_bad_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma must be positive"):
             estimate_lstar(paper_example("bernoulli", d=8), gamma, seed=1, draws=10)
@@ -323,7 +323,7 @@ class TestLstar:
 
 
 class TestLearningCurve:
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, True])
     def test_rejects_bad_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma must be positive"):
             learning_curve(paper_example("bernoulli", d=8), gamma, [4], trials=2,

@@ -174,7 +174,7 @@ def test_prob_curve_csv(tmp_path):
 
 
 @pytest.mark.parametrize("estimate", [estimate_shatter_prob, m_underline])
-@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, True])
 def test_rejects_bad_gamma(estimate, gamma):
     with pytest.raises(ValueError, match="gamma must be positive"):
         estimate(paper_example("bernoulli", d=8), gamma, 4, 5, seed=1)

@@ -325,7 +325,7 @@ def test_entry_points_reject_non_finite_points(entry, bad):
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
-@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, True])
 def test_entry_points_reject_bad_gamma(entry, gamma):
     with pytest.raises(ValueError, match="gamma must be positive"):
         ENTRY_POINTS[entry](math.sqrt(2) * np.eye(2), gamma)
@@ -337,3 +337,11 @@ def test_points_csv_rejects_non_finite(tmp_path, bad):
     path.write_text(f"1.0,0.0\n0.0,{bad}\n")
     with pytest.raises(ValueError, match="sample matrix entries must be finite"):
         read_points_csv(path)
+
+
+@pytest.mark.parametrize("r", [np.zeros(1), np.zeros(3), np.zeros((2, 1)),
+                               np.array([0.0, math.nan]), np.array([math.inf, 0.0])])
+def test_shatter_with_offsets_rejects_bad_offsets(r):
+    # one offset per point, each finite: a single offset is not broadcast
+    with pytest.raises(ValueError, match="offsets r"):
+        shatter_with_offsets(2 * np.eye(2), r, 1.0)

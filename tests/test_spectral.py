@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margin_spectra.spectral import (
+    TAIL_TOL,
     CovarianceSpectrum,
     SpectrumValidationError,
     b_for_k,
@@ -56,6 +57,14 @@ class TestKGamma:
         with pytest.raises(SpectrumValidationError):
             k_gamma(spectrum(1, 1), 0.0)
 
+    @pytest.mark.parametrize("delta, k", [(0.9, 1), (1.1, 2)])
+    def test_tail_tolerance_edge(self, delta, k):
+        # spectrum (t, t) at gamma 1: k = 1 holds iff t <= 1 + TAIL_TOL * trace,
+        # and the trace is 2t, so t = 1 + 2 delta TAIL_TOL is inside for delta < 1
+        assert TAIL_TOL == 1e-12
+        t = 1.0 + 2.0 * delta * TAIL_TOL
+        assert k_gamma(spectrum(t, t), 1.0).k == k
+
     def test_rejects_unsorted(self):
         with pytest.raises(SpectrumValidationError):
             spectrum(1, 2)
@@ -78,6 +87,18 @@ class TestBForK:
     def test_rejects_k_beyond_d(self):
         with pytest.raises(SpectrumValidationError):
             b_for_k(spectrum(1, 1), 3)
+
+
+class TestLimitCertificateArguments:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="sample matrix entries must be finite"):
+            set_limit_certificate(np.array([[3.0, 0.0], [bad, 1.0]]), 1)
+
+    @pytest.mark.parametrize("k", [-1, 3, 1.0, True])
+    def test_rejects_bad_k(self, k):
+        with pytest.raises(SpectrumValidationError, match="k must be an integer"):
+            set_limit_certificate(np.array([[3.0, 0.0], [0.0, 1.0]]), k)
 
 
 class TestSetLimitCertificate:
