@@ -80,10 +80,12 @@ class LabelModel:
             if not np.any(w):
                 raise DistSpecError(f"{self.kind} direction w must be non-zero")
             object.__setattr__(self, "w", w)
-        elif self.kind == "coin":
-            check_unit("coin probability p", self.p, closed=True, error=DistSpecError)
-        elif self.kind != "mixture_component":
+        elif self.kind not in ("coin", "mixture_component"):
             raise DistSpecError(f"unknown label model kind {self.kind!r}")
+        elif self.w is not None:
+            raise DistSpecError(f"{self.kind} label model takes no direction w")
+        if self.kind == "coin":
+            check_unit("coin probability p", self.p, closed=True, error=DistSpecError)
         if self.kind == "halfspace_with_flip":
             check_unit("flip probability", self.flip, closed=True, error=DistSpecError)
 

@@ -7,6 +7,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from margin_spectra.checks import check_positive, finite_points
 from margin_spectra.dist import (
     GAUSSIAN,
     GAUSSIAN_MIXTURE_SYMMETRIC,
@@ -25,9 +26,23 @@ from margin_spectra.learner import (
     _run_learner,
     estimate_lstar,
 )
-from margin_spectra.optim import ConstraintSystem, gram_lambda_min, min_norm_interpolator
+from margin_spectra.optim import (
+    ConstraintSystem,
+    SingularGramError,
+    gram_eig,
+    gram_lambda_min,
+    min_norm_interpolator,
+)
 from margin_spectra.randmat import map_trials
-from margin_spectra.shatter import shatter_at_origin
+from margin_spectra.shatter import (
+    _CHUNK,
+    DEFAULT_CAP,
+    WORST_VALUE_SLACK,
+    EnumerationCapError,
+    ShatterCertificate,
+    _sign_block,
+    shatter_at_origin,
+)
 from margin_spectra.spectral import set_limit_certificate
 
 
@@ -150,6 +165,40 @@ def eigvalsh_threshold(points: np.ndarray, gamma: float) -> int:
         else:
             hi = mid
     return hi
+
+
+def enumerating_shatter_certificate(X: np.ndarray, gamma: float) -> ShatterCertificate:
+    """Oracle: shatter_at_origin by evaluating every _CHUNK block of the
+    2^(m-1) labelings, with no screen; the first labeling of largest value wins."""
+    X = finite_points(X)
+    check_positive("gamma", gamma)
+    m, d = X.shape
+    if m > DEFAULT_CAP:
+        raise EnumerationCapError(f"m={m} exceeds enumeration cap {DEFAULT_CAP}")
+    try:
+        evals, evecs = gram_eig(X / gamma)
+        ratio = float(evals[0]) / float(evals[-1])
+    except SingularGramError as e:
+        evals, ratio = None, e.ratio
+    if evals is None or m > d:
+        return ShatterCertificate(shattered=False, gamma=float(gamma),
+                                  worst_labeling=None, worst_value=math.inf,
+                                  gram_condition=ratio)
+    total = 1 << (m - 1)
+    worst = -math.inf
+    worst_y = None
+    for start in range(0, total, _CHUNK):
+        count = min(_CHUNK, total - start)
+        y = _sign_block(m, start, count)
+        c = y @ evecs
+        vals = np.sum(c * c / evals, axis=1)
+        i = int(np.argmax(vals))
+        if vals[i] > worst:
+            worst = float(vals[i])
+            worst_y = y[i].copy()
+    return ShatterCertificate(shattered=worst <= 1.0 + WORST_VALUE_SLACK,
+                              gamma=float(gamma), worst_labeling=worst_y,
+                              worst_value=worst, gram_condition=ratio)
 
 
 def enumerating_adversarial_minimizer(S_train: LabeledSample, test_points: np.ndarray,

@@ -247,6 +247,8 @@ class TestMain:
             "kind": "halfspace", "w": [float("nan"), 1.0]}}),
         ("eigen-prob", "dist", {**FULL_SPEC, "label_model": {
             "kind": "halfspace", "w": [0.0, 0.0]}}),
+        ("eigen-prob", "dist", {**FULL_SPEC, "label_model": {
+            "kind": "coin", "p": 0.5, "w": [1, 0]}}),
         ("edge-check", "d", 6),
     ])
     def test_bad_config_value_exit_two(self, tmp_path, capsys, command, field, value):

@@ -276,6 +276,9 @@ def test_spec_validation():
             gaussian_spec([1.0, 1.0], label=LabelModel("halfspace", w=w))
     with pytest.raises(DistSpecError):
         gaussian_spec([1.0, 1.0], label=LabelModel("mixture_component"))
+    for kind, p in (("coin", 0.5), ("mixture_component", None)):
+        with pytest.raises(DistSpecError):
+            LabelModel(kind, w=[1.0, 0.0], p=p)
     for bad in ([1.0, -1.0], [1.0, math.nan], [math.inf, 1.0]):
         with pytest.raises(DistSpecError):
             gaussian_spec(bad)

@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from oracles import eigvalsh_sufficient, projection_limit_bound
+from oracles import eigvalsh_sufficient, enumerating_shatter_certificate, projection_limit_bound
 
 from margin_spectra.optim import (
+    SINGULARITY_RATIO,
     SingularGramError,
     gram_eig,
     gram_lambda_min_at_least,
     min_norm_interpolator,
 )
 from margin_spectra.shatter import (
+    _CHUNK,
+    SCREEN_SLACK,
     EnumerationCapError,
     SubsetBudgetError,
+    _screen,
+    _sign_block,
     fat_shattering_search,
     fat_shattering_upper_bound,
     lambda_min_sufficient,
@@ -109,6 +114,100 @@ class TestShatterAtOrigin:
         assert len(d["worst_labeling"]) == 2
 
 
+def assert_same_certificate(X, gamma):
+    got = shatter_at_origin(X, gamma)
+    want = enumerating_shatter_certificate(X, gamma)
+    assert got.shattered == want.shattered
+    assert got.gamma == want.gamma
+    assert got.worst_value == want.worst_value
+    assert got.gram_condition == want.gram_condition
+    assert np.array_equal(got.worst_labeling, want.worst_labeling)
+
+
+def kept_chunks(X, gamma):
+    """Number of _CHUNK blocks the split-sign screen keeps for X at gamma."""
+    values, floor = _screen(*gram_eig(X / gamma))
+    return int(np.sum(values.reshape(-1, _CHUNK).max(axis=1) >= floor))
+
+
+def hadamard(n):
+    H = np.ones((1, 1))
+    while H.shape[0] < n:
+        H = np.block([[H, H], [H, -H]])
+    return H
+
+
+class TestScreen:
+    """The screened enumeration against the full one, bit for bit."""
+
+    def test_random_multi_chunk_sets(self):
+        rng = np.random.default_rng(2026)
+        for m in range(17, 21):
+            for kind in ("plain", "near_duplicate", "ill_scaled"):
+                d = m + int(rng.integers(5, 40))
+                X = rng.standard_normal((m, d))
+                if kind == "near_duplicate":
+                    X[-1] = X[0] + 10.0 ** rng.uniform(-4, -1) * rng.standard_normal(d)
+                elif kind == "ill_scaled":
+                    X *= np.exp(rng.uniform(-3, 3, m))[:, None]
+                lam = np.linalg.eigvalsh(X @ X.T)[0]
+                assert_same_certificate(X, math.sqrt(lam / m) * math.exp(rng.uniform(-0.5, 0.5)))
+
+    @pytest.mark.parametrize("gamma", [0.5, math.sqrt(2 / 3), 1.0])
+    @pytest.mark.parametrize("rotation_seed", [None, 2])
+    def test_hadamard_ties_across_chunks(self, gamma, rotation_seed):
+        # every labeling scores gamma^2 (16/16 + 1/4 + 1/4) in exact arithmetic;
+        # a right rotation keeps the Gram matrix and moves the rounding
+        X = np.zeros((18, 18))
+        X[:16, :16] = hadamard(16)
+        X[16, 16] = X[17, 17] = 2.0
+        if rotation_seed is not None:
+            rng = np.random.default_rng(rotation_seed)
+            X = X @ np.linalg.qr(rng.standard_normal((18, 18)))[0]
+        assert kept_chunks(X, gamma) == 2
+        assert_same_certificate(X, gamma)
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-7])
+    def test_near_singular_set(self, eta):
+        # orthonormal rows, the last one a near copy of the first
+        rng = np.random.default_rng(31)
+        basis = np.linalg.qr(rng.standard_normal((24, 24)))[0].T
+        X = basis[:20] + eta * rng.standard_normal((20, 24))
+        X[-1] = X[0] + 2.2e-5 * basis[20]
+        evals = np.linalg.eigvalsh(X @ X.T)
+        assert SINGULARITY_RATIO < evals[0] / evals[-1] < 10 * SINGULARITY_RATIO
+        if eta == 0.0:
+            assert kept_chunks(X, 0.5) > 1
+        for gamma in (0.5, 1e-5):
+            assert_same_certificate(X, gamma)
+
+    def test_single_chunk_sets(self):
+        rng = np.random.default_rng(17)
+        for m in (2, 5, 9, 13, 16, 17):
+            X = rng.standard_normal((m, m + 3)) * np.exp(rng.uniform(-3, 3, m))[:, None]
+            for gamma in (0.3, 1.0):
+                assert_same_certificate(X, gamma)
+
+    def test_screen_error_within_half_slack(self):
+        rng = np.random.default_rng(14)
+        eps = np.finfo(float).eps
+        for i in range(300):
+            m = int(rng.integers(1, 15))
+            X = rng.standard_normal((m, m + int(rng.integers(0, 6))))
+            if i % 2:
+                X *= np.exp(rng.uniform(-3, 3, m))[:, None]
+            try:
+                evals, evecs = gram_eig(X)
+            except SingularGramError:
+                continue
+            values, floor = _screen(evals, evecs)
+            c = _sign_block(m, 0, 1 << (m - 1)) @ evecs
+            current = np.sum(c * c / evals, axis=1)
+            bound = SCREEN_SLACK * m**3 * eps / evals[0] / 2
+            assert np.max(np.abs(values - current)) <= bound
+            assert values[np.argmax(current)] >= floor
+
+
 class TestLambdaMinSufficient:
     def test_orthogonal_boundary(self):
         assert lambda_min_sufficient(math.sqrt(2) * np.eye(2), 1.0)
@@ -135,13 +234,8 @@ class TestLambdaMinSufficient:
 
     def test_matches_eigvalsh_verdict(self):
         rng = np.random.default_rng(11)
-        sylvester = np.ones((1, 1))
-        hadamards = []
-        for _ in range(5):
-            hadamards.append(sylvester)
-            sylvester = np.block([[sylvester, sylvester], [sylvester, -sylvester]])
         cases = []
-        for H in hadamards:  # exact ties: k rows of H_n at gamma^2 = n / k
+        for H in map(hadamard, (1, 2, 4, 8, 16)):  # exact ties: k rows of H_n at gamma^2 = n / k
             n = H.shape[0]
             for k in {n, max(1, n // 4), max(1, n // 16)}:
                 for c in (1.0, 0.5, 3.0):
