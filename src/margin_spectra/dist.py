@@ -24,6 +24,9 @@ GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
 UNIFORM_SYMMETRIC = "uniform_symmetric"
 GAUSSIAN_MIXTURE_SYMMETRIC = "gaussian_mixture_symmetric"
+# Raw Philox words (8 bytes each) the sampler holds before turning them into
+# Rademacher signs, so that no temporary grows with the number of points.
+RADEMACHER_WORDS = 1 << 16
 
 # MGF-domination constants B with rho = B / sqrt(variance), for the
 # unit-variance normalized laws:
@@ -200,20 +203,54 @@ def _sample_rows(spec: DistributionSpec, start: int, stop: int, seed: int,
 
     Before point i the generator is reset to key (seed, stream), counter
     [0, 0, 0, i] and an empty buffer: the state of a generator built for that
-    point alone, at a fraction of the cost of building one.
+    point alone, at a fraction of the cost of building one.  Only the reset and
+    the generator calls run per point, in a fixed order: Gaussian, Rademacher,
+    uniform and mixture coordinates, then the uniform of a coin or flip label.
+    Gaussian coordinates in one run of columns are drawn into the row itself.
+
+    Rademacher signs come from raw words.  `integers(0, 2, k)` returns bit 31
+    of each 32-bit half of the next Philox words, low half first: Lemire's
+    method never rejects at range 2, and Philox hands out the low half of a
+    64-bit word before the high one.  So k // 2 raw words per point give the
+    same signs.  An odd last sign is drawn with `integers(0, 2)`, which leaves
+    the word's high half buffered for a later mixture draw, as the sized call
+    does.  The words are turned into +-1 a block of rows at a time, through a
+    buffer of RADEMACHER_WORDS words (or of one row, if a row needs more).
+
+    After the loop the rows are scaled in place (the same products as a
+    per-row multiply), then each row is rotated and its halfspace label taken
+    from a per-row dot product: one matrix product over all rows can round
+    differently.  The recorded uniforms become coin and flip labels last.
     """
     check_int("seed", seed, least=0, below=SEED_LIMIT, error=DistSpecError)
     check_int("stream", stream, least=0, below=SEED_LIMIT, error=DistSpecError)
-    d = spec.d
-    scale = np.sqrt(spec.variances)
+    n, d = stop - start, spec.d
     kinds = [l.kind for l in spec.laws]
-    gauss_idx = np.array([i for i, k in enumerate(kinds) if k == GAUSSIAN], dtype=int)
-    rad_idx = np.array([i for i, k in enumerate(kinds) if k == RADEMACHER], dtype=int)
-    uni_idx = np.array([i for i, k in enumerate(kinds) if k == UNIFORM_SYMMETRIC], dtype=int)
-    mix_idx = [i for i, k in enumerate(kinds) if k == GAUSSIAN_MIXTURE_SYMMETRIC]
-    points = np.empty((stop - start, d))
-    labels = np.empty(stop - start)
+
+    def columns(kind):
+        return np.array([i for i, k in enumerate(kinds) if k == kind], dtype=int)
+
+    gauss_idx, rad_idx, uni_idx = columns(GAUSSIAN), columns(RADEMACHER), columns(UNIFORM_SYMMETRIC)
+    mixtures = [(j, float(spec.laws[j].params["v"])) for j in columns(GAUSSIAN_MIXTURE_SYMMETRIC)]
+    gauss_run = None
+    if gauss_idx.size and gauss_idx[-1] - gauss_idx[0] + 1 == gauss_idx.size:
+        gauss_run = slice(int(gauss_idx[0]), int(gauss_idx[-1]) + 1)
+    half = rad_idx.size // 2
+    even_cols, odd_cols = rad_idx[0:2 * half:2], rad_idx[1:2 * half:2]
+    last_col = int(rad_idx[-1]) if rad_idx.size % 2 else None
+    block = max(1, min(n, RADEMACHER_WORDS // max(half, 1)))
+    words = np.empty((block, half), dtype=np.uint64)
+
+    def put_signs(first: int, count: int) -> None:
+        w = words[:count]
+        points[first:first + count, even_cols] = ((w >> 31) & 1) * 2.0 - 1.0
+        points[first:first + count, odd_cols] = (w >> 63) * 2.0 - 1.0
+
+    points = np.empty((n, d))
+    labels = np.empty(n)  # the component sign or label uniform until the labels are formed
     lm = spec.label_model
+    draws_uniform = lm.kind in ("coin", "halfspace_with_flip")
+    a = math.sqrt(3.0)
     bitgen = np.random.Philox(0)  # a fixed seed, so no OS entropy is read
     rng = np.random.Generator(bitgen)
     counter = np.zeros(4, dtype=np.uint64)
@@ -221,38 +258,42 @@ def _sample_rows(spec: DistributionSpec, start: int, stop: int, seed: int,
              "state": {"counter": counter, "key": np.array([seed, stream], dtype=np.uint64)},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for i in range(stop - start):
+    for i in range(n):
         counter[3] = start + i
         bitgen.state = state
-        x = np.empty(d)
-        if gauss_idx.size:
-            x[gauss_idx] = rng.standard_normal(gauss_idx.size)
-        if rad_idx.size:
-            x[rad_idx] = 2.0 * rng.integers(0, 2, rad_idx.size) - 1.0
+        row = points[i]
+        if gauss_run is not None:
+            rng.standard_normal(out=row[gauss_run])
+        elif gauss_idx.size:
+            row[gauss_idx] = rng.standard_normal(gauss_idx.size)
+        if half:
+            words[i % block] = bitgen.random_raw(half)
+            if i % block == block - 1:
+                put_signs(i + 1 - block, block)
+        if last_col is not None:
+            row[last_col] = 2.0 * rng.integers(0, 2) - 1.0
         if uni_idx.size:
-            a = math.sqrt(3.0)
-            x[uni_idx] = rng.uniform(-a, a, uni_idx.size)
-        component = None
-        for j in mix_idx:
-            val, s = _draw_mixture(rng, float(spec.laws[j].params["v"]))
-            x[j] = val
-            if component is None:
-                component = s
-        x = scale * x
-        if spec.rotation is not None:
-            x = spec.rotation @ x
-        if lm.kind == "halfspace":
-            labels[i] = _sign(float(lm.w @ x))
-        elif lm.kind == "halfspace_with_flip":
-            y = _sign(float(lm.w @ x))
-            if rng.random() < lm.flip:
-                y = -y
-            labels[i] = y
-        elif lm.kind == "coin":
-            labels[i] = 1.0 if rng.random() < lm.p else -1.0
-        else:  # mixture_component; the spec has a mixture coordinate
-            labels[i] = component
-        points[i] = x
+            row[uni_idx] = rng.uniform(-a, a, uni_idx.size)
+        for k, (j, v) in enumerate(mixtures):
+            row[j], s = _draw_mixture(rng, v)
+            if k == 0 and lm.kind == "mixture_component":
+                labels[i] = s
+        if draws_uniform:
+            labels[i] = rng.random()
+    if half and n % block:
+        put_signs(n - n % block, n % block)
+    points *= np.sqrt(spec.variances)
+    if spec.rotation is not None or lm.w is not None:
+        for i, x in enumerate(points):
+            if spec.rotation is not None:
+                x[:] = spec.rotation @ x
+            if lm.kind == "halfspace":
+                labels[i] = _sign(float(lm.w @ x))
+            elif lm.kind == "halfspace_with_flip":
+                y = _sign(float(lm.w @ x))
+                labels[i] = -y if labels[i] < lm.flip else y
+    if lm.kind == "coin":
+        labels = np.where(labels < lm.p, 1.0, -1.0)
     return points, labels
 
 

@@ -141,14 +141,18 @@ def _hinge_subgradient(S: LabeledSample, gamma: float, seed: int) -> np.ndarray:
     """Projected subgradient descent on the hinge-at-gamma surrogate.
 
     Keeps the best iterate seen (by 0-1 margin loss, then hinge value) across
-    all restarts, comparing both the raw and unit-normalized iterate.
+    all restarts, comparing both the raw and unit-normalized iterate.  Both
+    parts of the key are >= 0 and a candidate replaces the best only with a
+    strictly smaller key, so once the best key is (0, 0) nothing can replace
+    it: the search stops there, with the iterate a full search would return.
     """
     X, y, m = S.points, S.labels, S.m
     rng = np.random.default_rng([seed, 0x6d61725f])
     row_scale = float(np.mean(np.linalg.norm(X, axis=1))) or 1.0
     best_w, best_key = np.zeros(X.shape[1]), (math.inf, math.inf)
 
-    def consider(w):
+    def consider(w) -> bool:
+        """Keep w or w / |w| if better; True once the best key is (0, 0)."""
         nonlocal best_w, best_key
         nrm = np.linalg.norm(w)
         for cand in (w, w / nrm) if nrm > 0 else (w,):
@@ -157,6 +161,9 @@ def _hinge_subgradient(S: LabeledSample, gamma: float, seed: int) -> np.ndarray:
                    float(np.mean(np.maximum(0.0, gamma - margins))))
             if key < best_key:
                 best_key, best_w = key, cand.copy()
+                if best_key == (0.0, 0.0):
+                    return True
+        return False
 
     for r in range(HINGE_RESTARTS):
         if r == 0:
@@ -174,9 +181,10 @@ def _hinge_subgradient(S: LabeledSample, gamma: float, seed: int) -> np.ndarray:
             nrm = np.linalg.norm(w)
             if nrm > 1.0:
                 w = w / nrm
-            if t % 10 == 0:
-                consider(w)
-        consider(w)
+            if t % 10 == 0 and consider(w):
+                return best_w
+        if consider(w):
+            return best_w
     return best_w
 
 

@@ -40,6 +40,9 @@ class SingularGramError(np.linalg.LinAlgError):
             f"ratio {ratio:.3e} <= {SINGULARITY_RATIO:.0e}"
         )
 
+    def __reduce__(self):  # rebuild from the ratio, not the message, when pickled or copied
+        return type(self), (self.ratio,)
+
 
 @dataclass(frozen=True)
 class ConstraintSystem:

@@ -39,6 +39,9 @@ class MUnderlineNotFound(RuntimeError):
             f"success probability stayed >= 1/2 up to m={last_estimate.m} "
             f"(prob {last_estimate.prob:.3f}); increase m_max")
 
+    def __reduce__(self):  # rebuild from the estimate, not the message, when pickled or copied
+        return type(self), (self.last_estimate,)
+
 
 @dataclass(frozen=True)
 class EigenProbEstimate:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from margin_spectra.dist import (
     GAUSSIAN,
     GAUSSIAN_MIXTURE_SYMMETRIC,
     RADEMACHER,
+    RADEMACHER_WORDS,
     UNIFORM_SYMMETRIC,
     CoordinateLaw,
     DistSpecError,
@@ -112,7 +114,25 @@ def oracle_specs():
             for lm in labels for r in (None, q)]
 
 
-@pytest.mark.parametrize("spec", oracle_specs())
+def rademacher_oracle_specs(k: int):
+    """k Rademacher coordinates, then a uniform, two mixture and one Gaussian
+    coordinate, under every label model: the raw-word sign path, its odd last
+    sign and the generator calls that follow it."""
+    d = k + 4
+    laws = ((CoordinateLaw(RADEMACHER),) * k
+            + (CoordinateLaw(UNIFORM_SYMMETRIC),
+               CoordinateLaw(GAUSSIAN_MIXTURE_SYMMETRIC, {"v": 1.3}),
+               CoordinateLaw(GAUSSIAN_MIXTURE_SYMMETRIC, {"v": 0.4}), CoordinateLaw(GAUSSIAN)))
+    variances = np.linspace(0.5, 2.0, d)
+    w = np.cos(np.arange(d, dtype=float))
+    labels = (LabelModel("halfspace", w=w), LabelModel("coin", p=0.6),
+              LabelModel("halfspace_with_flip", w=w, flip=0.3),
+              LabelModel("mixture_component"))
+    return [DistributionSpec(laws=laws, variances=variances, label_model=lm) for lm in labels]
+
+
+@pytest.mark.parametrize("spec", oracle_specs()
+                         + [s for k in (2, 3, 20, 21) for s in rademacher_oracle_specs(k)])
 def test_matches_per_point_generator_oracle(spec):
     """One generator reset per point draws the same bits as one generator per point."""
     for seed in (0, 7, 2**63 - 1):
@@ -121,6 +141,34 @@ def test_matches_per_point_generator_oracle(spec):
             want = per_point_sample(spec, 25, seed, stream=stream)
             assert got.points.tobytes() == want.points.tobytes()
             assert got.labels.tobytes() == want.labels.tobytes()
+
+
+@pytest.mark.parametrize("k", [20, 21])
+def test_matches_oracle_past_one_word_block(k):
+    """A sample longer than one block of the Rademacher word buffer, ending
+    inside a partly filled block."""
+    spec = rademacher_oracle_specs(k)[2]
+    m = RADEMACHER_WORDS // (k // 2) + 37
+    got = sample(spec, m, seed=3, stream=1)
+    want = per_point_sample(spec, m, seed=3, stream=1)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+
+
+@pytest.mark.parametrize("kind", [GAUSSIAN, RADEMACHER])
+def test_sampler_memory_beyond_output_is_bounded(kind):
+    """Beyond its output, sampling 1000 points in d=4000 allocates under 8 MB;
+    a temporary the size of the sample would take 32 MB."""
+    d, m = 4000, 1000
+    spec = DistributionSpec(laws=(CoordinateLaw(kind),) * d, variances=np.ones(d),
+                            label_model=LabelModel("halfspace", w=np.ones(d)))
+    tracemalloc.start()
+    try:
+        S = sample(spec, m, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - S.points.nbytes - S.labels.nbytes < 8 * 2**20
 
 
 class TestLabels:

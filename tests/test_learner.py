@@ -32,7 +32,13 @@ from margin_spectra.learner import (
     write_curve_csv,
 )
 from margin_spectra.optim import SINGULARITY_RATIO, UNIT_BALL_TOL, ConstraintSystem
-from oracles import brute_force_min_norm, enumerating_adversarial_minimizer, per_size_learning_curve
+import oracles
+from oracles import (
+    brute_force_min_norm,
+    enumerating_adversarial_minimizer,
+    full_hinge_subgradient,
+    per_size_learning_curve,
+)
 
 
 def min_margin_loss_oracle(S, gamma):
@@ -157,6 +163,51 @@ class TestHeuristicLearner:
         a = margin_error_minimize(S, 1.0, mode="heuristic", seed=3)
         b = margin_error_minimize(S, 1.0, mode="heuristic", seed=3)
         assert np.array_equal(a.w, b.w)
+
+    @staticmethod
+    def halfspace_sample(seed, m, d):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((m, d))
+        return LabeledSample(X, np.where(X @ rng.standard_normal(d) >= 0, 1.0, -1.0))
+
+    @staticmethod
+    def hinge_key(w, S, gamma):
+        margins = S.labels * (S.points @ w)
+        return (float(np.mean(learner._below_margin(margins, gamma))),
+                float(np.mean(np.maximum(0.0, gamma - margins))))
+
+    @pytest.mark.parametrize("seed, reached_in_restart_0, reached", [
+        (0, True, True),     # separable at the margin from the first restart
+        (280, False, True),  # key (0, 0) only in a later restart
+        (25, False, False),  # key (0, 0) never
+    ])
+    def test_early_stop_matches_full_search(self, monkeypatch, seed, reached_in_restart_0,
+                                            reached):
+        """Stopping at key (0, 0) returns the bits of the search that runs every restart."""
+        S, gamma = self.halfspace_sample(seed, 6, 5), 0.3
+        want = full_hinge_subgradient(S, gamma, seed)
+        assert (self.hinge_key(want, S, gamma) == (0.0, 0.0)) == reached
+        monkeypatch.setattr(oracles, "HINGE_RESTARTS", 1)
+        first = full_hinge_subgradient(S, gamma, seed)
+        assert (self.hinge_key(first, S, gamma) == (0.0, 0.0)) == reached_in_restart_0
+        got = margin_error_minimize(S, gamma, mode="heuristic", seed=seed)
+        assert got.w.tobytes() == want.tobytes()
+        assert got.train_margin_loss == margin_loss(want, S, gamma)
+
+    def test_early_stop_matches_full_search_on_random_samples(self):
+        """Samples of the three kinds, and the m=8, d=3, gamma=1.5 random-label
+        shape, where no fit reaches key (0, 0)."""
+        rng = np.random.default_rng(12)
+        for i in range(16):
+            if i % 2:
+                S, gamma = self.halfspace_sample(1000 + i, 6, 5), 0.3
+            else:
+                S, gamma = LabeledSample(rng.standard_normal((8, 3)),
+                                         rng.choice([-1.0, 1.0], size=8)), 1.5
+            want = full_hinge_subgradient(S, gamma, i)
+            got = margin_error_minimize(S, gamma, mode="heuristic", seed=i)
+            assert got.w.tobytes() == want.tobytes()
+            assert got.train_margin_loss == margin_loss(want, S, gamma)
 
 
 class TestAdversarial:

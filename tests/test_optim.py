@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,15 @@ class TestInterpolator:
         with pytest.raises(SingularGramError) as ei:
             min_norm_interpolator(X, [1, -1])
         assert ei.value.ratio <= 1e-10
+
+    @pytest.mark.parametrize("copy_fn", [copy.copy, lambda e: pickle.loads(pickle.dumps(e))],
+                             ids=["copy", "pickle"])
+    def test_singular_error_round_trips(self, copy_fn):
+        err = SingularGramError(1e-15)
+        back = copy_fn(err)
+        assert type(back) is SingularGramError
+        assert back.ratio == 1e-15
+        assert str(back) == str(err)
 
     def test_interpolates_and_norm_identity(self):
         rng = np.random.default_rng(0)

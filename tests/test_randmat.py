@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -112,6 +114,16 @@ class TestMUnderline:
     def test_not_found(self):
         with pytest.raises(MUnderlineNotFound):
             m_underline(iso_gaussian(200), 0.01, m_max=5, trials=10, seed=1)
+
+    @pytest.mark.parametrize("copy_fn", [copy.copy, lambda e: pickle.loads(pickle.dumps(e))],
+                             ids=["copy", "pickle"])
+    def test_not_found_round_trips(self, copy_fn):
+        with pytest.raises(MUnderlineNotFound) as ei:
+            m_underline(iso_gaussian(200), 0.01, m_max=5, trials=10, seed=1)
+        back = copy_fn(ei.value)
+        assert type(back) is MUnderlineNotFound
+        assert back.last_estimate == ei.value.last_estimate
+        assert str(back) == str(ei.value)
 
     def test_definition_against_estimates(self):
         res = m_underline(iso_gaussian(40), 1.0, m_max=40, trials=50, seed=2)
