@@ -155,12 +155,11 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
         summary = {"k": res.k, "gamma": res.gamma, "tail_sum": res.tail_sum}
     elif config.command == "limit-cert":
         pts = read_points_csv(p["points_csv"])
+        check_int("k", p["k"], least=0, below=pts.shape[1] + 1, error=ConfigError)
         cert = set_limit_certificate(pts, int(p["k"]))
         path = out_dir / "limit_cert.json"
-        path.write_text(json.dumps({
-            "b": cert.b, "k": cert.k,
-            "subspace_basis": [[float(v) for v in row] for row in cert.subspace_basis],
-        }, indent=2))
+        path.write_text(json.dumps({"b": cert.b, "k": cert.k,
+                                    "top_basis": cert.top_basis.tolist()}, indent=2))
         outputs.append(str(path))
         summary = {"b": cert.b, "k": cert.k}
     elif config.command == "shatter-check":
@@ -327,12 +326,9 @@ def main(argv=None) -> int:
                 raw = json.load(f)
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.workers is not None:
-            raw["workers"] = args.workers
-        if args.out is not None:
-            raw["out"] = args.out
+        for name in ("seed", "workers", "out"):  # command-line overrides
+            if getattr(args, name) is not None:
+                raw[name] = getattr(args, name)
         config = validate_config(args.command, raw)
     except (ConfigError, OSError, json.JSONDecodeError, KeyError, TypeError) as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -340,6 +336,9 @@ def main(argv=None) -> int:
 
     try:
         report = run(config, Path(config.params.get("out", ".")))
+    except ConfigError as e:  # a field its input file contradicts
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"runtime error ({type(e).__name__}): {e}", file=sys.stderr)
         return 3

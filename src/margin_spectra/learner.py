@@ -295,10 +295,10 @@ def learning_curve(spec: DistributionSpec, gamma: float, m_grid, trials: int,
     """
     check_positive("gamma", gamma)
     m_grid = list(m_grid)
-    if trials < 1 or not m_grid:
-        raise ValueError("trials must be >= 1 and m_grid non-empty")
-    if min(m_grid) < 1:  # a slice [:0] or [:-1] would pass for a sample
-        raise DistSpecError(f"m must be positive, got {min(m_grid)}")
+    if not m_grid:
+        raise ValueError("m_grid must be non-empty")
+    for m in m_grid:  # a slice [:0], [:-1] or [:True] would pass for a sample
+        check_int("m_grid entry", m, error=DistSpecError)
 
     def one(t: int) -> list[float]:
         train = sample(spec, max(m_grid), seed, stream=2 * t)

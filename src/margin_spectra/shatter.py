@@ -27,6 +27,7 @@ from .optim import (
     gram_lambda_min_at_least,
     solve_min_norm_ineq,
 )
+from .spectral import projection_tails
 
 DEFAULT_CAP = 20
 SUBSET_BUDGET = 10_000_000
@@ -205,14 +206,10 @@ def shatter_with_offsets(X: np.ndarray, r: np.ndarray, gamma: float) -> bool:
 
 def fat_shattering_upper_bound(points: np.ndarray, gamma: float) -> int:
     """floor of min over k of (3/2)(b_k / gamma^2 + k + 1), b_k the b of
-    spectral.set_limit_certificate(points, k), all read from one thin SVD."""
+    spectral.set_limit_certificate(points, k), all read from one projection_tails."""
     points = finite_points(points)
     check_positive("gamma", gamma)
-    u, s, _ = np.linalg.svd(points, full_matrices=False)
-    # squared norms off the top-k singular subspace; b_k = 0 from k = len(s)
-    # on, where larger k only raise the bound
-    tails = np.cumsum(((u * s) ** 2)[:, ::-1], axis=1)[:, ::-1]
-    b = np.append(tails.max(axis=0), 0.0)
+    b = projection_tails(points)[0].max(axis=0)  # 0 at k = min(m, d); larger k raise the bound
     bound = 1.5 * (b / (gamma * gamma) + np.arange(b.size) + 1)
     return int(math.floor(float(bound.min()) + FLOOR_SLACK))
 

@@ -56,7 +56,7 @@ class AdaptedDimResult:
 class LimitCertificate:
     b: float
     k: int
-    subspace_basis: np.ndarray  # (d-k) x d orthonormal rows
+    top_basis: np.ndarray  # min(k, r) x d orthonormal rows; certified: their complement
 
 
 @dataclass(frozen=True)
@@ -86,22 +86,25 @@ def b_for_k(spectrum: CovarianceSpectrum, k: int) -> float:
     return float(spectrum.eigenvalues[k:].sum())
 
 
+def projection_tails(points: np.ndarray):
+    """(tails, vt) from one thin SVD of the m x d points: vt holds the r = min(m, d)
+    right singular vectors, tails[i, k] is point i's squared norm off span(vt[:k]), k = 0..r."""
+    u, s, vt = np.linalg.svd(points, full_matrices=False)
+    return np.cumsum(np.pad((u * s) ** 2, ((0, 0), (0, 1)))[:, ::-1], axis=1)[:, ::-1], vt
+
+
 def set_limit_certificate(points: np.ndarray, k: int) -> LimitCertificate:
     """Certify a point set as (b, k)-limited via the top-k principal subspace.
 
-    Projects every point onto the orthogonal complement of the top-k right
-    singular subspace and takes b as the maximum squared projected norm.  The
-    certificate is valid but b is not guaranteed minimal over all subspaces.
+    b is the largest squared norm of a point off the span of `top_basis`, the top
+    min(k, r) right singular vectors (r = min(m, d)); their orthogonal complement
+    is certified.  When k > r it has dimension d - r >= d - k and b = 0, so any
+    (d-k)-dimensional subspace of it certifies.  b need not be minimal over subspaces.
     """
     pts = finite_points(points)
     check_int("k", k, least=0, below=pts.shape[1] + 1, error=SpectrumValidationError)
-    _, _, vt = np.linalg.svd(pts, full_matrices=True)
-    basis = vt[k:]  # (d-k) x d, orthonormal rows
-    if basis.shape[0] == 0:
-        return LimitCertificate(b=0.0, k=k, subspace_basis=basis)
-    proj = pts @ basis.T
-    b = float(np.max(np.sum(proj * proj, axis=1)))
-    return LimitCertificate(b=b, k=k, subspace_basis=basis)
+    tails, vt = projection_tails(pts)  # vt[:k] is all of vt when k > r
+    return LimitCertificate(b=float(tails[:, min(k, len(vt))].max()), k=k, top_basis=vt[:k].copy())
 
 
 def check_growth_bound(spectrum: CovarianceSpectrum, gamma: float, alpha: float) -> GrowthBoundReport:

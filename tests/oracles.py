@@ -3,11 +3,12 @@
 import hashlib
 import json
 import math
+from collections import namedtuple
 from itertools import chain, combinations
 
 import numpy as np
 
-from margin_spectra.checks import check_positive, finite_points
+from margin_spectra.checks import check_int, check_positive, finite_points
 from margin_spectra.dist import (
     GAUSSIAN,
     GAUSSIAN_MIXTURE_SYMMETRIC,
@@ -46,7 +47,7 @@ from margin_spectra.shatter import (
     _sign_block,
     shatter_at_origin,
 )
-from margin_spectra.spectral import set_limit_certificate
+from margin_spectra.spectral import SpectrumValidationError
 
 
 def brute_force_min_norm(cs: ConstraintSystem):
@@ -67,6 +68,23 @@ def brute_force_min_norm(cs: ConstraintSystem):
             if best is None or w @ w < best @ best:
                 best = w
     return best
+
+
+ComplementCertificate = namedtuple("ComplementCertificate", "b k subspace_basis")
+
+
+def set_limit_certificate(points: np.ndarray, k: int) -> ComplementCertificate:
+    """Oracle: the (b, k) certificate from one full SVD, with the (d-k) x d
+    orthonormal basis of the certified complement subspace."""
+    pts = finite_points(points)
+    check_int("k", k, least=0, below=pts.shape[1] + 1, error=SpectrumValidationError)
+    _, _, vt = np.linalg.svd(pts, full_matrices=True)
+    basis = vt[k:]  # (d-k) x d, orthonormal rows
+    if basis.shape[0] == 0:
+        return ComplementCertificate(b=0.0, k=k, subspace_basis=basis)
+    proj = pts @ basis.T
+    b = float(np.max(np.sum(proj * proj, axis=1)))
+    return ComplementCertificate(b=b, k=k, subspace_basis=basis)
 
 
 def projection_limit_bound(points: np.ndarray, gamma: float) -> int:

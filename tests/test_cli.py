@@ -83,6 +83,17 @@ class TestRun:
         cert = json.loads((tmp_path / "out" / "shatter_certificate.json").read_text())
         assert cert["shattered"] is True
 
+    def test_limit_cert_writes_top_basis(self, tmp_path):
+        pts_path = tmp_path / "pts.csv"
+        write_points_csv(pts_path, np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        report = run(ExperimentConfig("limit-cert", {
+            "points_csv": str(pts_path), "k": 1}), tmp_path / "out")
+        cert = json.loads((tmp_path / "out" / "limit_cert.json").read_text())
+        assert sorted(cert) == ["b", "k", "top_basis"]
+        assert report["summary"] == {"b": cert["b"], "k": 1}
+        assert cert["b"] == pytest.approx(1.0)
+        assert np.allclose(np.abs(cert["top_basis"]), [[1.0, 0.0, 0.0]])
+
     def test_eigen_prob_deterministic_outputs(self, tmp_path):
         cfg = {"dist": {"example": "bernoulli", "d": 10}, "gamma": 1.0,
                "m": 4, "trials": 20, "seed": 5}
@@ -258,6 +269,15 @@ class TestMain:
         cfg = write_config(tmp_path, "cfg.json", {**good, field: value})
         assert main([command, "--config", cfg]) == 2
         assert field in capsys.readouterr().err
+
+    def test_limit_cert_k_above_dimension_exit_two(self, tmp_path, capsys):
+        pts_path = tmp_path / "pts.csv"
+        write_points_csv(pts_path, np.array([[3.0, 0.0], [0.0, 1.0]]))
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, "points_csv": str(pts_path), "k": 3,
+            "out": str(tmp_path / "out")})
+        assert main(["limit-cert", "--config", cfg]) == 2
+        assert "config error: k must be an integer in [0, 3), got 3" in capsys.readouterr().err
 
     def test_bad_seed_override_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {

@@ -19,6 +19,11 @@ def test_gram_eigen_solves_only_in_optim():
     assert calls_outside("optim.py", r"eigh\(|eigvalsh\(|cholesky\(|potrf\(") == []
 
 
+def test_svd_only_in_spectral():
+    """Every singular value decomposition goes through spectral.projection_tails."""
+    assert calls_outside("spectral.py", r"svd\(") == []
+
+
 def test_philox_only_in_dist():
     """Every random point comes from the one counter-based sampler in dist."""
     assert calls_outside("dist.py", r"Philox\(") == []

@@ -460,12 +460,19 @@ class TestLearningCurve:
     @pytest.mark.parametrize("grid", [[4, 0], [-1, 4], [0]])
     def test_grid_size_below_one_raises_before_drawing(self, grid, monkeypatch):
         monkeypatch.setattr(learner, "sample", None)  # any draw would fail differently
-        with pytest.raises(DistSpecError, match="m must be positive"):
+        with pytest.raises(DistSpecError, match="m_grid entry must be an integer >= 1"):
+            learning_curve(self.COIN, 1.0, grid, trials=2, learner_kind="generative", seed=1)
+
+    @pytest.mark.parametrize("grid", [[True, 2], [2.0, 3], [4, np.float64(8)], [4, "8"]])
+    def test_grid_entry_not_an_integer_raises_before_drawing(self, grid, monkeypatch):
+        monkeypatch.setattr(learner, "sample", None)  # any draw would fail differently
+        with pytest.raises(DistSpecError, match="m_grid entry must be an integer >= 1"):
             learning_curve(self.COIN, 1.0, grid, trials=2, learner_kind="generative", seed=1)
 
     @pytest.mark.parametrize("grid, trials", [([4], 0), ([4], -1), ([], 2)])
     def test_no_trials_or_empty_grid_raises(self, grid, trials):
-        with pytest.raises(ValueError, match="trials must be >= 1 and m_grid non-empty"):
+        with pytest.raises(ValueError, match=r"trials must be an integer >= 1|"
+                                             r"m_grid must be non-empty"):
             learning_curve(self.COIN, 1.0, grid, trials=trials, learner_kind="generative",
                            seed=1)
 

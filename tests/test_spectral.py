@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from margin_spectra.spectral import (
     set_limit_certificate,
     write_spectrum_csv,
 )
+import oracles
 
 
 def spectrum(*vals):
@@ -105,7 +107,7 @@ class TestSetLimitCertificate:
     def test_two_points(self):
         cert = set_limit_certificate(np.array([[3.0, 0], [0, 1.0]]), 1)
         assert cert.b == pytest.approx(1.0)
-        assert np.allclose(np.abs(cert.subspace_basis), [[0, 1]])
+        assert np.allclose(np.abs(cert.top_basis), [[1, 0]])
 
     def test_k_equals_d(self):
         cert = set_limit_certificate(np.array([[3.0, 0], [0, 1.0]]), 2)
@@ -131,10 +133,69 @@ class TestSetLimitCertificate:
         k = min(k, d)
         pts = rng.standard_normal((m, d)) * 3
         cert = set_limit_certificate(pts, k)
-        basis = cert.subspace_basis
-        assert np.allclose(basis @ basis.T, np.eye(d - k), atol=1e-10)
+        top = cert.top_basis
+        assert top.shape == (min(k, m), d)
+        assert np.allclose(top @ top.T, np.eye(len(top)), atol=1e-10)
         for x in pts:
-            assert np.sum((basis @ x) ** 2) <= cert.b + 1e-9
+            assert np.sum((x - top.T @ (top @ x)) ** 2) <= cert.b + 1e-9
+
+
+# |b(thin SVD) - b(full SVD)| and the squared norm of a point off span(top_basis)
+# beyond b, relative to max(1, max ||x||^2)
+CERT_TOL = 1e-12
+
+
+def certificate_cases():
+    """Random sets with m < d, m > d, a zero row, duplicate rows and rank 1,
+    each at every k = 0..d (so k > rank and k = d are covered)."""
+    rng = np.random.default_rng(1305)
+    for i in range(240):
+        m, d = int(rng.integers(1, 16)), int(rng.integers(1, 12))
+        X = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-2, 2)
+        kind = ("plain", "zero", "duplicate", "rank1")[i % 4]
+        if kind == "zero":
+            X[rng.integers(m)] = 0.0
+        elif kind == "duplicate":
+            X[rng.integers(m)] = X[0]
+        elif kind == "rank1":
+            X = np.outer(rng.standard_normal(m), rng.standard_normal(d))
+        for k in range(d + 1):
+            yield kind, X, k
+
+
+class TestCertificateOracle:
+    def test_matches_full_svd_oracle(self):
+        seen = dict.fromkeys(["m<d", "m>d", "zero", "duplicate", "rank1", "k>rank", "k=d"], 0)
+        worst = 0.0
+        for kind, X, k in certificate_cases():
+            m, d = X.shape
+            scale = max(1.0, float(np.max(np.sum(X * X, axis=1))))
+            cert, ref = set_limit_certificate(X, k), oracles.set_limit_certificate(X, k)
+            worst = max(worst, abs(cert.b - ref.b) / scale)
+            top = cert.top_basis
+            assert cert.k == k and top.shape == (min(k, m, d), d)
+            assert np.allclose(top @ top.T, np.eye(len(top)), atol=1e-10)
+            off = X - (X @ top.T) @ top
+            assert np.sum(off * off, axis=1).max() <= cert.b + CERT_TOL * scale
+            seen[kind] = seen.get(kind, 0) + 1
+            seen["m<d"] += m < d
+            seen["m>d"] += m > d
+            seen["k>rank"] += k > np.linalg.matrix_rank(X)
+            seen["k=d"] += k == d
+        assert worst <= CERT_TOL
+        assert min(seen.values()) >= 50
+
+    def test_memory_linear_in_d(self):
+        # 20 points in d = 4000: the full SVD's 4000 x 4000 basis alone is 128 MB
+        X = np.random.default_rng(7).standard_normal((20, 4000))
+        tracemalloc.start()
+        try:
+            cert = set_limit_certificate(X, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.top_basis.shape == (2, 4000)
+        assert peak - X.nbytes < 8 * 2**20
 
 
 class TestGrowthBound:
