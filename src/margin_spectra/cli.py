@@ -19,6 +19,7 @@ from . import __version__
 from .checks import SEED_LIMIT, check_int, check_positive, check_unit
 from .dist import DistributionSpec, paper_example
 from .learner import (
+    EXACT_CAP,
     LEARNER_KINDS,
     empirical_sample_complexity,
     learning_curve,
@@ -27,11 +28,13 @@ from .learner import (
 )
 from .randmat import (
     edge_mc_compare,
+    edge_sample_size,
     estimate_shatter_prob,
     m_underline,
     write_prob_curve_csv,
 )
-from .shatter import fat_shattering_search, read_points_csv, shatter_at_origin
+from .shatter import (DEFAULT_CAP, SubsetBudgetError, fat_shattering_search, read_points_csv,
+                      shatter_at_origin)
 from .spectral import k_gamma, read_spectrum_csv, set_limit_certificate
 
 SCHEMA_VERSION = 1
@@ -81,7 +84,8 @@ def _check_learner(name: str, v) -> None:
 _FIELD_RULES = {
     "seed": partial(check_int, least=0, below=SEED_LIMIT),
     "k": partial(check_int, least=0),
-    **dict.fromkeys(("trials", "m", "m_max", "max_subset", "workers", "d"), check_int),
+    "max_subset": partial(check_int, below=DEFAULT_CAP + 1),
+    **dict.fromkeys(("trials", "m", "m_max", "workers", "d"), check_int),
     **dict.fromkeys(("gamma", "budget_seconds"), check_positive),
     **dict.fromkeys(("beta", "epsilon"), check_unit),
     "lstar": partial(check_unit, closed=True),
@@ -114,8 +118,14 @@ def validate_config(command: str, raw: dict) -> ExperimentConfig:
             spec = _dist_from_config(raw["dist"])  # the library's constructors decide
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"invalid dist ({type(e).__name__}: {e})") from None
-        if command == "edge-check" and raw["d"] != spec.d:
-            raise ConfigError(f"d must equal the dist's dimension {spec.d}, got {raw['d']!r}")
+        if command == "edge-check":
+            try:
+                edge_sample_size(spec, raw["beta"], raw["d"])
+            except ValueError as e:  # the message names the dist, beta or d
+                raise ConfigError(str(e)) from None
+    if command == "learn-curve" and raw["learner"] == "erm_exact":
+        check_int("largest m_grid entry with learner erm_exact", max(raw["m_grid"]),
+                  below=EXACT_CAP + 1, error=ConfigError)
     params = {k: v for k, v in raw.items() if k != "schema_version"}
     return ExperimentConfig(command=command, params=params)
 
@@ -171,7 +181,10 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
         summary = {"shattered": cert.shattered, "worst_value": cert.worst_value}
     elif config.command == "fat-dim":
         pts = read_points_csv(p["points_csv"])
-        est = fat_shattering_search(pts, float(p["gamma"]), int(p["max_subset"]))
+        try:
+            est = fat_shattering_search(pts, float(p["gamma"]), int(p["max_subset"]))
+        except SubsetBudgetError as e:  # the subset count depends on the file's points
+            raise ConfigError(str(e)) from None
         summary = {"lower": est.lower, "upper": est.upper,
                    "witness_subset": list(est.witness_subset)}
     elif config.command == "eigen-prob":

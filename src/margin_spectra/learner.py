@@ -32,7 +32,6 @@ from .dist import (
 )
 from .optim import (
     UNIT_BALL_TOL,
-    ConstraintSystem,
     SingularGramError,
     min_norm_interpolator,
     solve_min_norm_ineq,
@@ -106,10 +105,8 @@ def _pattern_feasible(S: LabeledSample, pattern, gamma: float):
     """Min-norm w meeting margin gamma on the given index pattern, or None."""
     idx = list(pattern)
     rows = S.labels[idx, None] * S.points[idx]
-    sol = solve_min_norm_ineq(ConstraintSystem(rows, np.full(len(idx), gamma)))
-    if sol.status != "optimal" or sol.objective > 1.0 + UNIT_BALL_TOL:
-        return None
-    return sol.w
+    sol = solve_min_norm_ineq(rows, np.full(len(idx), gamma))
+    return sol.w if sol.objective <= 1.0 + UNIT_BALL_TOL else None  # inf when infeasible
 
 
 def margin_error_minimize(S: LabeledSample, gamma: float, mode: str = "exact",

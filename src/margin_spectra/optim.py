@@ -44,53 +44,12 @@ class SingularGramError(np.linalg.LinAlgError):
         return type(self), (self.ratio,)
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Constraints a_i . w >= b_i with rows a_i in `matrix`."""
-
-    matrix: np.ndarray
-    bounds: np.ndarray
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        b = np.atleast_1d(np.asarray(self.bounds, dtype=float))
-        if a.shape[0] != b.shape[0]:
-            raise ValueError(f"{a.shape[0]} constraint rows but {b.shape[0]} bounds")
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "bounds", b)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[1]
-
-
 @dataclass
 class QpSolution:
     w: np.ndarray | None
     objective: float
     active_set: list[int]
-    kkt_residual: float
     status: str  # "optimal" | "infeasible"
-
-    def to_dict(self) -> dict:
-        return {
-            "w": None if self.w is None else [float(v) for v in self.w],
-            "objective": self.objective,
-            "active_set": list(self.active_set),
-            "kkt_residual": self.kkt_residual,
-            "status": self.status,
-        }
-
-
-@dataclass(frozen=True)
-class KktReport:
-    stationarity_residual: float
-    feasibility_violation: float
-    multiplier_sign_ok: bool
 
 
 def gram_eig(X: np.ndarray):
@@ -145,59 +104,35 @@ def min_norm_interpolator(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return X.T @ ginv_y
 
 
-def solve_min_norm_ineq(cs: ConstraintSystem) -> QpSolution:
-    """Minimize ||w||^2 subject to a_i . w >= b_i as a least-distance program.
+def solve_min_norm_ineq(A: np.ndarray, b: np.ndarray) -> QpSolution:
+    """Minimize ||w||^2 subject to A w >= b row by row, a least-distance program.
 
     Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23): with
     E = [A'; b'] and f = e_{d+1}, solve u = argmin_{u >= 0} ||E u - f|| and set
     r = E u - f.  The system is feasible iff r != 0; then w = -r[:d] / r[d],
     r[d] = -||r||^2 and ||r||^2 = 1 / (1 + ||w||^2).  A residual norm below
     LDP_TOL is read as infeasible, so a system whose min-norm solution is
-    longer than about 1 / LDP_TOL is reported infeasible too.  The constraints
-    with u_i > 0 are active at the optimum: w is polished by a min-norm
-    least-squares solve on them, and their multipliers are
-    lambda = -2 u / r[d] = 2 u / ||r||^2.  A w that misses a constraint by
+    longer than about 1 / LDP_TOL is reported infeasible too.  Each u_i is
+    the multiplier of constraint i up to the positive factor 2 / ||r||^2, so
+    by complementary slackness every constraint in the support {i : u_i > 0}
+    holds with equality: the support is the active set, and w is polished by
+    a min-norm least-squares solve on it.  A w that misses a constraint by
     more than FEAS_TOL (relative to max(1, |b_i|)) is reported infeasible.
+    An infeasible result has w None, objective inf and an empty active set.
     """
-    A, b = cs.matrix, cs.bounds
-    n, d = cs.n, cs.d
-    infeasible = QpSolution(w=None, objective=float("inf"), active_set=[],
-                            kkt_residual=float("inf"), status="infeasible")
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    n, d = A.shape
+    if b.shape != (n,):
+        raise ValueError(f"{n} constraint rows but bounds of shape {b.shape}")
     if n == 0:  # nnls fails on a matrix with no columns
-        return QpSolution(w=np.zeros(d), objective=0.0, active_set=[],
-                          kkt_residual=0.0, status="optimal")
+        return QpSolution(w=np.zeros(d), objective=0.0, active_set=[], status="optimal")
 
-    E = np.vstack([A.T, b])
-    f = np.zeros(d + 1)
-    f[d] = 1.0
-    u, rnorm = nnls(E, f)
-    if rnorm < LDP_TOL:
-        return infeasible
-    support = [int(i) for i in np.flatnonzero(u > 0)]
-    w = np.linalg.lstsq(A[support], b[support], rcond=None)[0]
-    if np.any(A @ w < b - FEAS_TOL * np.maximum(1.0, np.abs(b))):
-        return infeasible
-    lam = 2.0 * u[support] / (rnorm * rnorm)
-    resid = np.linalg.norm(2.0 * w - A[support].T @ lam)
-    return QpSolution(w=w, objective=float(w @ w), active_set=support,
-                      kkt_residual=float(resid), status="optimal")
-
-
-def kkt_check(sol: QpSolution, cs: ConstraintSystem) -> KktReport:
-    """Recompute multipliers on the active set and report KKT residuals."""
-    if sol.status != "optimal":
-        raise ValueError(f"kkt_check requires an optimal solution, got status {sol.status!r}")
-    A, b = cs.matrix, cs.bounds
-    w = sol.w
-    if sol.active_set:
-        A_act = A[sol.active_set]
-        lam, *_ = np.linalg.lstsq(A_act.T, 2.0 * w, rcond=None)
-        stationarity = float(np.linalg.norm(A_act.T @ lam - 2.0 * w))
-        sign_ok = bool(np.min(lam) >= -FEAS_TOL)
-    else:
-        stationarity = float(np.linalg.norm(2.0 * w))
-        sign_ok = True
-    violation = float(max(0.0, np.max(b - A @ w))) if cs.n else 0.0
-    return KktReport(stationarity_residual=stationarity,
-                     feasibility_violation=violation,
-                     multiplier_sign_ok=sign_ok)
+    u, rnorm = nnls(np.vstack([A.T, b]), np.append(np.zeros(d), 1.0))
+    if rnorm >= LDP_TOL:
+        support = [int(i) for i in np.flatnonzero(u > 0)]
+        w = np.linalg.lstsq(A[support], b[support], rcond=None)[0]
+        if np.all(A @ w >= b - FEAS_TOL * np.maximum(1.0, np.abs(b))):
+            return QpSolution(w=w, objective=float(w @ w), active_set=support,
+                              status="optimal")
+    return QpSolution(w=None, objective=float("inf"), active_set=[], status="infeasible")

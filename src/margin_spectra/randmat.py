@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import check_int, check_positive, check_unit
-from .dist import DistributionSpec, sample
+from .dist import DistributionSpec, DistSpecError, sample
 from .optim import gram_lambda_min, gram_lambda_min_at_least
 from .shatter import lambda_min_sufficient
 
@@ -172,19 +172,27 @@ def asymptotic_edge(sigma: float, beta: float) -> float:
     return sigma * sigma * (1.0 - math.sqrt(beta)) ** 2
 
 
-def edge_mc_compare(spec: DistributionSpec, beta: float, d: int,
-                    trials: int, seed: int, workers: int = 1) -> EdgeCompareReport:
-    """Empirical mean of lambda_min(XX')/d against the asymptotic edge."""
+def edge_sample_size(spec: DistributionSpec, beta: float, d: int) -> int:
+    """The sample size m = round(beta d) of an edge comparison.  Raises
+    DistSpecError unless spec has iid coordinates, ValueError unless beta is
+    in (0, 1), d is spec's dimension and 1 <= m < d."""
     check_unit("beta", beta)
     kinds = {l.kind for l in spec.laws}
     if len(kinds) != 1 or spec.rotation is not None or np.ptp(spec.variances) != 0:
-        raise ValueError("edge comparison requires iid coordinates (one law kind, "
-                         "equal variances, no rotation)")
+        raise DistSpecError("the distribution must have iid coordinates (one law kind, "
+                            "equal variances, no rotation) for the edge comparison")
     if spec.d != d:
-        raise ValueError(f"spec dimension {spec.d} != d={d}")
+        raise ValueError(f"d must equal the distribution's dimension {spec.d}, got {d!r}")
     m = round(beta * d)
     if not (1 <= m < d):
-        raise ValueError(f"beta={beta} gives m={m}, need 1 <= m < d")
+        raise ValueError(f"beta={beta} gives m={m} at d={d}, need 1 <= m < d")
+    return m
+
+
+def edge_mc_compare(spec: DistributionSpec, beta: float, d: int,
+                    trials: int, seed: int, workers: int = 1) -> EdgeCompareReport:
+    """Empirical mean of lambda_min(XX')/d against the asymptotic edge."""
+    m = edge_sample_size(spec, beta, d)
     sigma = math.sqrt(float(spec.variances[0]))
     predicted = asymptotic_edge(sigma, m / d)
 

@@ -21,7 +21,6 @@ import numpy as np
 from .checks import check_int, check_positive, finite_points
 from .optim import (
     UNIT_BALL_TOL,
-    ConstraintSystem,
     SingularGramError,
     gram_eig,
     gram_lambda_min_at_least,
@@ -197,9 +196,7 @@ def shatter_with_offsets(X: np.ndarray, r: np.ndarray, gamma: float) -> bool:
         raise EnumerationCapError(f"m={m} exceeds enumeration cap {DEFAULT_CAP}")
     for mask in range(1 << m):
         y = 1.0 - 2.0 * ((mask >> np.arange(m)) & 1)
-        cs = ConstraintSystem(y[:, None] * X, gamma + y * r)
-        sol = solve_min_norm_ineq(cs)
-        if sol.status != "optimal" or sol.objective > 1.0 + UNIT_BALL_TOL:
+        if solve_min_norm_ineq(y[:, None] * X, gamma + y * r).objective > 1.0 + UNIT_BALL_TOL:
             return False
     return True
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
@@ -31,7 +32,8 @@ from margin_spectra.learner import (
     estimate_lstar,
 )
 from margin_spectra.optim import (
-    ConstraintSystem,
+    FEAS_TOL,
+    QpSolution,
     SingularGramError,
     gram_eig,
     gram_lambda_min,
@@ -50,10 +52,11 @@ from margin_spectra.shatter import (
 from margin_spectra.spectral import SpectrumValidationError
 
 
-def brute_force_min_norm(cs: ConstraintSystem):
+def brute_force_min_norm(A: np.ndarray, b: np.ndarray):
     """Oracle: enumerate every active subset, solve the equality system, keep
     the feasible candidate of minimum norm; None when none is feasible."""
-    A, b, n, d = cs.matrix, cs.bounds, cs.n, cs.d
+    A, b = np.atleast_2d(np.asarray(A, dtype=float)), np.asarray(b, dtype=float)
+    n, d = A.shape
     best = None
     for subset in chain.from_iterable(combinations(range(n), r) for r in range(n + 1)):
         idx = list(subset)
@@ -68,6 +71,33 @@ def brute_force_min_norm(cs: ConstraintSystem):
             if best is None or w @ w < best @ best:
                 best = w
     return best
+
+
+@dataclass(frozen=True)
+class KktReport:
+    stationarity_residual: float
+    feasibility_violation: float
+    multiplier_sign_ok: bool
+
+
+def kkt_check(sol: QpSolution, A: np.ndarray, b: np.ndarray) -> KktReport:
+    """Recompute multipliers on the active set and report KKT residuals."""
+    if sol.status != "optimal":
+        raise ValueError(f"kkt_check requires an optimal solution, got status {sol.status!r}")
+    A, b = np.atleast_2d(np.asarray(A, dtype=float)), np.asarray(b, dtype=float)
+    w = sol.w
+    if sol.active_set:
+        A_act = A[sol.active_set]
+        lam, *_ = np.linalg.lstsq(A_act.T, 2.0 * w, rcond=None)
+        stationarity = float(np.linalg.norm(A_act.T @ lam - 2.0 * w))
+        sign_ok = bool(np.min(lam) >= -FEAS_TOL)
+    else:
+        stationarity = float(np.linalg.norm(2.0 * w))
+        sign_ok = True
+    violation = float(max(0.0, np.max(b - A @ w))) if b.size else 0.0
+    return KktReport(stationarity_residual=stationarity,
+                     feasibility_violation=violation,
+                     multiplier_sign_ok=sign_ok)
 
 
 ComplementCertificate = namedtuple("ComplementCertificate", "b k subspace_basis")

@@ -261,6 +261,9 @@ class TestMain:
         ("eigen-prob", "dist", {**FULL_SPEC, "label_model": {
             "kind": "coin", "p": 0.5, "w": [1, 0]}}),
         ("edge-check", "d", 6),
+        ("edge-check", "dist", {"example": "spiky", "d": 8}),
+        ("edge-check", "beta", 0.01),
+        ("fat-dim", "max_subset", 21),
     ])
     def test_bad_config_value_exit_two(self, tmp_path, capsys, command, field, value):
         good = {"schema_version": 1, **self.BASE_CONFIGS[command],
@@ -278,6 +281,25 @@ class TestMain:
             "out": str(tmp_path / "out")})
         assert main(["limit-cert", "--config", cfg]) == 2
         assert "config error: k must be an integer in [0, 3), got 3" in capsys.readouterr().err
+
+    def test_exact_learner_grid_above_cap_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, **self.BASE_CONFIGS["learn-curve"],
+            "learner": "erm_exact", "m_grid": [4, 17], "out": str(tmp_path / "out")})
+        assert main(["learn-curve", "--config", cfg]) == 2
+        assert ("config error: largest m_grid entry with learner erm_exact must be an "
+                "integer in [1, 17), got 17") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fat_dim_subsets_above_budget_exit_two(self, tmp_path, capsys):
+        pts_path = tmp_path / "pts.csv"
+        write_points_csv(pts_path, np.random.default_rng(0).standard_normal((40, 20)))
+        cfg = write_config(tmp_path, "cfg.json", {
+            "schema_version": 1, "points_csv": str(pts_path), "gamma": 1.0,
+            "max_subset": 20, "out": str(tmp_path / "out")})
+        assert main(["fat-dim", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "reduce max_subset" in err
 
     def test_bad_seed_override_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {

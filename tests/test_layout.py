@@ -24,6 +24,13 @@ def test_svd_only_in_spectral():
     assert calls_outside("spectral.py", r"svd\(") == []
 
 
+def test_least_squares_only_in_optim():
+    """Every NNLS or least-squares solve goes through optim, and the constraint
+    wrapper and KKT report it once returned are gone."""
+    assert calls_outside("optim.py", r"nnls\(|lstsq\(") == []
+    assert calls_outside("", r"ConstraintSystem|KktReport|kkt_check|kkt_residual") == []
+
+
 def test_philox_only_in_dist():
     """Every random point comes from the one counter-based sampler in dist."""
     assert calls_outside("dist.py", r"Philox\(") == []

@@ -31,7 +31,7 @@ from margin_spectra.learner import (
     read_curve_csv,
     write_curve_csv,
 )
-from margin_spectra.optim import SINGULARITY_RATIO, UNIT_BALL_TOL, ConstraintSystem
+from margin_spectra.optim import SINGULARITY_RATIO, UNIT_BALL_TOL
 import oracles
 from oracles import (
     brute_force_min_norm,
@@ -54,7 +54,7 @@ def min_margin_loss_oracle(S, gamma):
                 best = min(best, 1.0)
                 continue
             rows = S.labels[idx, None] * S.points[idx]
-            w = brute_force_min_norm(ConstraintSystem(rows, np.full(len(idx), gamma)))
+            w = brute_force_min_norm(rows, np.full(len(idx), gamma))
             if w is not None and w @ w <= 1.0 + UNIT_BALL_TOL:
                 best = min(best, 1.0 - size / S.m)
                 break
