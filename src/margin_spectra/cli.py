@@ -19,8 +19,7 @@ from . import __version__
 from .checks import SEED_LIMIT, check_int, check_positive, check_unit
 from .dist import DistributionSpec, paper_example
 from .learner import (
-    EXACT_CAP,
-    LEARNER_KINDS,
+    curve_grid,
     empirical_sample_complexity,
     learning_curve,
     read_curve_csv,
@@ -68,18 +67,6 @@ _SCHEMAS = {
 }
 
 
-def _check_m_grid(name: str, v) -> None:
-    if type(v) is not list or not v:
-        raise ValueError(f"{name} must be a non-empty list of integers >= 1, got {v!r}")
-    for m in v:
-        check_int(f"{name} entry", m)
-
-
-def _check_learner(name: str, v) -> None:
-    if v not in LEARNER_KINDS:
-        raise ValueError(f"{name} must be one of {', '.join(LEARNER_KINDS)}, got {v!r}")
-
-
 # field -> the library's rule, called as rule(name, value); a ValueError names the field
 _FIELD_RULES = {
     "seed": partial(check_int, least=0, below=SEED_LIMIT),
@@ -89,8 +76,6 @@ _FIELD_RULES = {
     **dict.fromkeys(("gamma", "budget_seconds"), check_positive),
     **dict.fromkeys(("beta", "epsilon"), check_unit),
     "lstar": partial(check_unit, closed=True),
-    "m_grid": _check_m_grid,
-    "learner": _check_learner,
 }
 
 
@@ -118,14 +103,13 @@ def validate_config(command: str, raw: dict) -> ExperimentConfig:
             spec = _dist_from_config(raw["dist"])  # the library's constructors decide
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"invalid dist ({type(e).__name__}: {e})") from None
+    try:  # the library's rules over several fields; the message names the field
         if command == "edge-check":
-            try:
-                edge_sample_size(spec, raw["beta"], raw["d"])
-            except ValueError as e:  # the message names the dist, beta or d
-                raise ConfigError(str(e)) from None
-    if command == "learn-curve" and raw["learner"] == "erm_exact":
-        check_int("largest m_grid entry with learner erm_exact", max(raw["m_grid"]),
-                  below=EXACT_CAP + 1, error=ConfigError)
+            edge_sample_size(spec, raw["beta"], raw["d"])  # edge-check requires dist
+        elif command == "learn-curve":
+            curve_grid(raw["m_grid"], raw["learner"])
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     params = {k: v for k, v in raw.items() if k != "schema_version"}
     return ExperimentConfig(command=command, params=params)
 
@@ -152,10 +136,18 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
     """Dispatch one validated config; returns the experiment report."""
     t0 = time.perf_counter()
     digest = _inputs_digest(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
     p = config.params
     outputs: list[str] = []
     summary: dict = {}
+
+    def out(name: str) -> Path:
+        """The path of output file `name`, listed in the report; the first call
+        makes out_dir, so a run that fails before writing leaves none."""
+        if not outputs:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        outputs.append(str(out_dir / name))
+        return out_dir / name
+
     workers = int(p.get("workers", 1))
     spec = _dist_from_config(p["dist"]) if "dist" in p else None
 
@@ -167,17 +159,13 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
         pts = read_points_csv(p["points_csv"])
         check_int("k", p["k"], least=0, below=pts.shape[1] + 1, error=ConfigError)
         cert = set_limit_certificate(pts, int(p["k"]))
-        path = out_dir / "limit_cert.json"
-        path.write_text(json.dumps({"b": cert.b, "k": cert.k,
-                                    "top_basis": cert.top_basis.tolist()}, indent=2))
-        outputs.append(str(path))
+        out("limit_cert.json").write_text(json.dumps(
+            {"b": cert.b, "k": cert.k, "top_basis": cert.top_basis.tolist()}, indent=2))
         summary = {"b": cert.b, "k": cert.k}
     elif config.command == "shatter-check":
         pts = read_points_csv(p["points_csv"])
         cert = shatter_at_origin(pts, float(p["gamma"]))
-        path = out_dir / "shatter_certificate.json"
-        path.write_text(json.dumps(cert.to_dict(), indent=2))
-        outputs.append(str(path))
+        out("shatter_certificate.json").write_text(json.dumps(cert.to_dict(), indent=2))
         summary = {"shattered": cert.shattered, "worst_value": cert.worst_value}
     elif config.command == "fat-dim":
         pts = read_points_csv(p["points_csv"])
@@ -190,16 +178,12 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
     elif config.command == "eigen-prob":
         est = estimate_shatter_prob(spec, float(p["gamma"]), int(p["m"]),
                                     int(p["trials"]), int(p["seed"]), workers)
-        path = out_dir / "eigen_prob.csv"
-        write_prob_curve_csv(path, [est])
-        outputs.append(str(path))
+        write_prob_curve_csv(out("eigen_prob.csv"), [est])
         summary = {"prob": est.prob, "ci_low": est.ci_low, "ci_high": est.ci_high}
     elif config.command == "m-underline":
         res = m_underline(spec, float(p["gamma"]), int(p["m_max"]),
                           int(p["trials"]), int(p["seed"]), workers)
-        path = out_dir / "m_underline_curve.csv"
-        write_prob_curve_csv(path, res.estimates)
-        outputs.append(str(path))
+        write_prob_curve_csv(out("m_underline_curve.csv"), res.estimates)
         summary = {"m_underline": res.m_underline, "first_failing_m": res.first_failing_m}
     elif config.command == "edge-check":
         rep = edge_mc_compare(spec, float(p["beta"]), int(p["d"]),
@@ -207,11 +191,9 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
         summary = {"empirical_mean": rep.empirical_mean, "predicted": rep.predicted,
                    "rel_error": rep.rel_error}
     elif config.command == "learn-curve":
-        curve = learning_curve(spec, float(p["gamma"]), [int(m) for m in p["m_grid"]],
+        curve = learning_curve(spec, float(p["gamma"]), p["m_grid"],
                                int(p["trials"]), p["learner"], int(p["seed"]), workers)
-        path = out_dir / "learning_curve.csv"
-        write_curve_csv(path, curve)
-        outputs.append(str(path))
+        write_curve_csv(out("learning_curve.csv"), curve)
         summary = {"lstar": curve.lstar,
                    "entries": [{"m": e.m, "mean_test_error": e.mean_test_error}
                                for e in curve.entries]}
@@ -221,8 +203,8 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
         summary = {"epsilon": float(p["epsilon"]), "lstar": curve.lstar,
                    "m": found, "reached": found is not None}
     elif config.command == "reproduce-examples":
-        summary, outputs = reproduce_examples(
-            out_dir, seed=int(p.get("seed", 20260825)), workers=workers,
+        summary = reproduce_examples(
+            out, seed=int(p.get("seed", 20260825)), workers=workers,
             budget_seconds=float(p.get("budget_seconds", 600.0)))
     else:
         raise ConfigError(f"unknown subcommand {config.command!r}")
@@ -236,16 +218,16 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
         "library_version": __version__,
         "seed": p.get("seed"),
     }
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2))
     return report
 
 
-def reproduce_examples(out_dir: Path, seed: int, workers: int = 1,
-                       budget_seconds: float = 600.0):
-    """Fixed-seed pipeline over the three stock example families."""
+def reproduce_examples(out, seed: int, workers: int = 1,
+                       budget_seconds: float = 600.0) -> dict:
+    """Fixed-seed pipeline over the three stock example families; each file
+    goes to the path out(name) returns."""
     t0 = time.perf_counter()
-    outputs: list[str] = []
     table: list[dict] = []
     incomplete = False
 
@@ -257,9 +239,7 @@ def reproduce_examples(out_dir: Path, seed: int, workers: int = 1,
     k1 = k_gamma(spec.spectrum(), 1.0).k
     curve = learning_curve(spec, 1.0, [4, 8, 16, 24, 32, 40], trials=10,
                            learner_kind="erm_heuristic", seed=seed, workers=workers)
-    path = out_dir / "spiky_curve.csv"
-    write_curve_csv(path, curve)
-    outputs.append(str(path))
+    write_curve_csv(out("spiky_curve.csv"), curve)
     table.append({"example": "spiky", "d": 1001, "gamma": 1.0, "k_gamma": k1,
                   "sample_complexity_eps_0.15": empirical_sample_complexity(curve, 0.15)})
 
@@ -274,9 +254,7 @@ def reproduce_examples(out_dir: Path, seed: int, workers: int = 1,
         grid = [4, 6, 8, 10, 12, 16, 20, 24, 28, 32, 40, 48, 56, 64]
         curve = learning_curve(spec, 1.0, grid, trials=20,
                                learner_kind="erm_heuristic", seed=seed, workers=workers)
-        path = out_dir / f"bernoulli_d{d}_curve.csv"
-        write_curve_csv(path, curve)
-        outputs.append(str(path))
+        write_curve_csv(out(f"bernoulli_d{d}_curve.csv"), curve)
         mc = empirical_sample_complexity(curve, 0.15)
         complexities[d] = mc
         table.append({"example": "bernoulli", "d": d, "gamma": 1.0, "k_gamma": k1,
@@ -302,23 +280,19 @@ def reproduce_examples(out_dir: Path, seed: int, workers: int = 1,
         for kind in ("erm_heuristic", "generative"):
             curve = learning_curve(spec, gamma, grid, trials=5,
                                    learner_kind=kind, seed=seed, workers=workers)
-            path = out_dir / f"mixture_v{int(v)}_{kind}_curve.csv"
-            write_curve_csv(path, curve)
-            outputs.append(str(path))
+            write_curve_csv(out(f"mixture_v{int(v)}_{kind}_curve.csv"), curve)
             reach = next((e.m for e in curve.entries if e.mean_test_error <= 0.05), None)
             row[f"{kind}_m_to_error_0.05"] = reach
             if kind == "generative":
                 gen_reach[v] = reach
         table.append(row)
 
-    table_path = out_dir / "examples_table.json"
-    table_path.write_text(json.dumps(table, indent=2))
-    outputs.append(str(table_path))
+    out("examples_table.json").write_text(json.dumps(table, indent=2))
     summary = {"table": table, "incomplete": incomplete}
     if 4.0 in gen_reach and 8.0 in gen_reach and gen_reach[8.0] is not None:
         summary["generative_faster_at_v8"] = (
             gen_reach[4.0] is None or gen_reach[8.0] <= gen_reach[4.0])
-    return summary, outputs
+    return summary
 
 
 def main(argv=None) -> int:

@@ -262,6 +262,24 @@ def estimate_lstar(spec: DistributionSpec, gamma: float, seed: int,
     return below / draws
 
 
+def curve_grid(m_grid, learner_kind: str) -> list[int]:
+    """The sample sizes of a learning curve, checked before any draw: m_grid
+    is a non-empty iterable of integers >= 1, learner_kind is one of
+    LEARNER_KINDS, and erm_exact's largest size is at most EXACT_CAP."""
+    grid = list(m_grid) if hasattr(m_grid, "__iter__") else []  # not a JSON number
+    if not grid:
+        raise ValueError(f"m_grid must be non-empty (a list of integers >= 1), got {m_grid!r}")
+    for m in grid:  # a slice [:0], [:-1] or [:True] would pass for a sample
+        check_int("m_grid entry", m, error=DistSpecError)
+    if learner_kind not in LEARNER_KINDS:
+        raise ValueError(f"learner must be one of {', '.join(LEARNER_KINDS)}, "
+                         f"got {learner_kind!r}")
+    if learner_kind == "erm_exact":
+        check_int("largest m_grid entry with learner erm_exact", max(grid),
+                  below=EXACT_CAP + 1, error=ExactCapError)
+    return [int(m) for m in grid]
+
+
 def _run_learner(learner_kind: str, train: LabeledSample, test: LabeledSample,
                  gamma: float, seed: int) -> float:
     """Test misclassification error of one learner invocation."""
@@ -272,13 +290,11 @@ def _run_learner(learner_kind: str, train: LabeledSample, test: LabeledSample,
             # single-class or coinciding-mean draws: predict the majority class
             pred = np.full(test.m, 1.0 if float(train.labels.sum()) >= 0 else -1.0)
     else:
-        if learner_kind in ("erm_exact", "erm_heuristic"):
-            mode = "exact" if learner_kind == "erm_exact" else "heuristic"
-            w = margin_error_minimize(train, gamma, mode=mode, seed=seed).w
-        elif learner_kind == "adversarial":
+        if learner_kind == "adversarial":
             w = adversarial_minimizer(train, test.points, test.labels, gamma)
         else:
-            raise ValueError(f"unknown learner kind {learner_kind!r}")
+            mode = "exact" if learner_kind == "erm_exact" else "heuristic"
+            w = margin_error_minimize(train, gamma, mode=mode, seed=seed).w
         pred = np.where(test.points @ w >= 0, 1.0, -1.0)
     return float(np.mean(pred != test.labels))
 
@@ -291,11 +307,7 @@ def learning_curve(spec: DistributionSpec, gamma: float, m_grid, trials: int,
     the largest grid size, and scores each size m on their m-prefixes.
     """
     check_positive("gamma", gamma)
-    m_grid = list(m_grid)
-    if not m_grid:
-        raise ValueError("m_grid must be non-empty")
-    for m in m_grid:  # a slice [:0], [:-1] or [:True] would pass for a sample
-        check_int("m_grid entry", m, error=DistSpecError)
+    m_grid = curve_grid(m_grid, learner_kind)
 
     def one(t: int) -> list[float]:
         train = sample(spec, max(m_grid), seed, stream=2 * t)
@@ -305,7 +317,7 @@ def learning_curve(spec: DistributionSpec, gamma: float, m_grid, trials: int,
                              gamma, seed=seed * 1_000_003 + t) for m in m_grid]
 
     errs = np.array(map_trials(one, trials, workers)).T.copy()  # a contiguous row per size
-    entries = tuple(CurveEntry(m=int(m), mean_test_error=float(e.mean()),
+    entries = tuple(CurveEntry(m=m, mean_test_error=float(e.mean()),
                                std_error=float(e.std(ddof=1) / math.sqrt(trials))
                                if trials > 1 else 0.0, trials=trials)
                     for m, e in zip(m_grid, errs))

@@ -25,7 +25,6 @@ import numpy as np
 from .checks import check_int, check_positive, check_unit
 from .dist import DistributionSpec, DistSpecError, sample
 from .optim import gram_lambda_min, gram_lambda_min_at_least
-from .shatter import lambda_min_sufficient
 
 WILSON_Z = 1.959963984540054  # the standard normal 0.975 quantile, for 95% intervals
 
@@ -107,11 +106,19 @@ def estimate_shatter_prob(spec: DistributionSpec, gamma: float, m: int,
     """P[lambda_min(XX') >= m gamma^2] over `trials` independent m-samples."""
     check_int("m", m)
     check_positive("gamma", gamma)
+    successes = map_trials(lambda t: _trial_indicator(spec, gamma, m, seed, t)(m),
+                           trials, workers)
+    return _prob_estimate(m, gamma, sum(successes), trials, seed)
 
-    def one(t: int) -> bool:
-        return lambda_min_sufficient(sample(spec, m, seed, stream=t).points, gamma)
 
-    return _prob_estimate(m, gamma, sum(map_trials(one, trials, workers)), trials, seed)
+def _trial_indicator(spec: DistributionSpec, gamma: float, m_max: int, seed: int,
+                     stream: int):
+    """The success indicator m -> lambda_min(X_m X_m') >= m gamma^2 of one
+    trial, for m <= m_max: X_m is the m-prefix of the trial's one m_max-sample,
+    so X_m X_m' is the leading m x m block of one Gram matrix."""
+    X = sample(spec, m_max, seed, stream=stream).points
+    G = X @ X.T
+    return lambda m: gram_lambda_min_at_least(G[:m, :m], m * gamma * gamma)
 
 
 def _trial_threshold(spec: DistributionSpec, gamma: float, m_max: int,
@@ -119,16 +126,9 @@ def _trial_threshold(spec: DistributionSpec, gamma: float, m_max: int,
     """Smallest failing m for one nested-sample trial, in [1, m_max + 1].
 
     m_max + 1 means no failure up to m_max.  Valid because the success
-    indicator is non-increasing in m pathwise under nested sampling.  The
-    Gram matrix of the m-prefix is the leading m x m block of one Gram matrix
-    per trial.
+    indicator is non-increasing in m pathwise under nested sampling.
     """
-    X = sample(spec, m_max, seed, stream=stream).points
-    G = X @ X.T
-
-    def success(m: int) -> bool:
-        return gram_lambda_min_at_least(G[:m, :m], m * gamma * gamma)
-
+    success = _trial_indicator(spec, gamma, m_max, seed, stream)
     if success(m_max):
         return m_max + 1
     lo, hi = 0, m_max  # success(lo) true by convention, success(hi) false
@@ -174,13 +174,14 @@ def asymptotic_edge(sigma: float, beta: float) -> float:
 
 def edge_sample_size(spec: DistributionSpec, beta: float, d: int) -> int:
     """The sample size m = round(beta d) of an edge comparison.  Raises
-    DistSpecError unless spec has iid coordinates, ValueError unless beta is
-    in (0, 1), d is spec's dimension and 1 <= m < d."""
+    DistSpecError unless spec has iid coordinates of positive variance,
+    ValueError unless beta is in (0, 1), d is spec's dimension and 1 <= m < d."""
     check_unit("beta", beta)
     kinds = {l.kind for l in spec.laws}
-    if len(kinds) != 1 or spec.rotation is not None or np.ptp(spec.variances) != 0:
-        raise DistSpecError("the distribution must have iid coordinates (one law kind, "
-                            "equal variances, no rotation) for the edge comparison")
+    if (len(kinds) != 1 or spec.rotation is not None or np.ptp(spec.variances) != 0
+            or spec.variances[0] == 0):
+        raise DistSpecError("the distribution must have iid coordinates (one law kind, equal "
+                            "positive variances, no rotation) for the edge comparison")
     if spec.d != d:
         raise ValueError(f"d must equal the distribution's dimension {spec.d}, got {d!r}")
     m = round(beta * d)

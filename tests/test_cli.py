@@ -20,6 +20,12 @@ FULL_SPEC = {"laws": [{"kind": "gaussian"}, {"kind": "gaussian"}], "variances": 
              "rotation": None, "label_model": {"kind": "coin", "p": 0.5}}
 
 
+def assert_outputs_listed(report, out_dir):
+    """The report lists exactly the files the run wrote besides report.json."""
+    assert sorted(report["outputs"]) == sorted(
+        str(path) for path in out_dir.iterdir() if path.name != "report.json")
+
+
 def write_config(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -73,6 +79,7 @@ class TestRun:
             "spectrum_csv": str(csv_path), "gamma": 1.0}), tmp_path / "out")
         assert report["summary"]["k"] == 1
         assert (tmp_path / "out" / "report.json").exists()
+        assert_outputs_listed(report, tmp_path / "out")
 
     def test_shatter_check_writes_certificate(self, tmp_path):
         pts_path = tmp_path / "pts.csv"
@@ -82,6 +89,7 @@ class TestRun:
         assert report["summary"]["shattered"] is True
         cert = json.loads((tmp_path / "out" / "shatter_certificate.json").read_text())
         assert cert["shattered"] is True
+        assert_outputs_listed(report, tmp_path / "out")
 
     def test_limit_cert_writes_top_basis(self, tmp_path):
         pts_path = tmp_path / "pts.csv"
@@ -93,6 +101,7 @@ class TestRun:
         assert report["summary"] == {"b": cert["b"], "k": 1}
         assert cert["b"] == pytest.approx(1.0)
         assert np.allclose(np.abs(cert["top_basis"]), [[1.0, 0.0, 0.0]])
+        assert_outputs_listed(report, tmp_path / "out")
 
     def test_eigen_prob_deterministic_outputs(self, tmp_path):
         cfg = {"dist": {"example": "bernoulli", "d": 10}, "gamma": 1.0,
@@ -104,6 +113,8 @@ class TestRun:
         assert r1["summary"] == r2["summary"]
         assert ((tmp_path / "o1" / "eigen_prob.csv").read_bytes()
                 == (tmp_path / "o2" / "eigen_prob.csv").read_bytes())
+        assert_outputs_listed(r1, tmp_path / "o1")
+        assert_outputs_listed(r2, tmp_path / "o2")
 
     def test_sample_complexity_from_csv(self, tmp_path):
         curve_path = tmp_path / "curve.csv"
@@ -264,6 +275,8 @@ class TestMain:
         ("edge-check", "dist", {"example": "spiky", "d": 8}),
         ("edge-check", "beta", 0.01),
         ("fat-dim", "max_subset", 21),
+        ("edge-check", "dist", {**FULL_SPEC, "laws": [{"kind": "gaussian"}] * 8,
+                                "variances": [0.0] * 8}),
     ])
     def test_bad_config_value_exit_two(self, tmp_path, capsys, command, field, value):
         good = {"schema_version": 1, **self.BASE_CONFIGS[command],
@@ -281,6 +294,7 @@ class TestMain:
             "out": str(tmp_path / "out")})
         assert main(["limit-cert", "--config", cfg]) == 2
         assert "config error: k must be an integer in [0, 3), got 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_exact_learner_grid_above_cap_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {
@@ -300,6 +314,7 @@ class TestMain:
         assert main(["fat-dim", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "reduce max_subset" in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_seed_override_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {
@@ -328,3 +343,4 @@ class TestMain:
         assert [row["example"] for row in summary["table"]] == ["spiky"]
         for name in ("spiky_curve.csv", "examples_table.json", "report.json"):
             assert (out / name).exists()
+        assert_outputs_listed(json.loads((out / "report.json").read_text()), out)

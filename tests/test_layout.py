@@ -57,3 +57,11 @@ def test_argument_rules_only_in_checks():
     assert calls_outside("checks.py", r"isfinite\(") == []
     assert calls_outside("", r"_positive_finite|_positive_int|_positive_number|"
                              r"def check_gamma|SampleMatrix") == []
+
+
+def test_learning_curve_rules_only_in_learner():
+    """The CLI checks m_grid and the learner through learner.curve_grid and keeps
+    no copy of the learner kinds, the exact cap or their checks."""
+    source = (SRC / "cli.py").read_text()
+    assert [name for name in ("EXACT_CAP", "LEARNER_KINDS", "_check_m_grid", "_check_learner")
+            if name in source] == []

@@ -469,7 +469,18 @@ class TestLearningCurve:
         with pytest.raises(DistSpecError, match="m_grid entry must be an integer >= 1"):
             learning_curve(self.COIN, 1.0, grid, trials=2, learner_kind="generative", seed=1)
 
-    @pytest.mark.parametrize("grid, trials", [([4], 0), ([4], -1), ([], 2)])
+    @pytest.mark.parametrize("kind, grid, error, message", [
+        ("svm", [4], ValueError, "learner must be one of erm_exact, "),
+        ("erm_exact", [4, 17], ExactCapError,
+         r"largest m_grid entry with learner erm_exact must be an integer in \[1, 17\), got 17"),
+    ], ids=["unknown_kind", "exact_grid_above_cap"])
+    def test_bad_learner_or_exact_grid_raises_before_drawing(self, kind, grid, error, message,
+                                                             monkeypatch):
+        monkeypatch.setattr(learner, "sample", None)  # any draw would fail differently
+        with pytest.raises(error, match=message):
+            learning_curve(self.COIN, 1.0, grid, trials=2, learner_kind=kind, seed=1)
+
+    @pytest.mark.parametrize("grid, trials", [([4], 0), ([4], -1), ([], 2), (8, 2)])
     def test_no_trials_or_empty_grid_raises(self, grid, trials):
         with pytest.raises(ValueError, match=r"trials must be an integer >= 1|"
                                              r"m_grid must be non-empty"):

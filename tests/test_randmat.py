@@ -8,6 +8,7 @@ import pytest
 from margin_spectra.dist import (
     CoordinateLaw,
     DistributionSpec,
+    DistSpecError,
     LabelModel,
     paper_example,
     sample,
@@ -170,6 +171,12 @@ class TestEdgeCompare:
                                 label_model=LabelModel("coin", p=0.5))
         with pytest.raises(ValueError):
             edge_mc_compare(spec, 0.5, 2, trials=1, seed=1)
+
+    def test_rejects_zero_variance(self):
+        spec = DistributionSpec(laws=(CoordinateLaw("gaussian"),) * 8, variances=np.zeros(8),
+                                label_model=LabelModel("coin", p=0.5))
+        with pytest.raises(DistSpecError, match="positive variances"):
+            edge_mc_compare(spec, 0.5, 8, trials=1, seed=1)
 
     def test_rejects_m_equal_d(self):
         with pytest.raises(ValueError):
