@@ -28,18 +28,8 @@ GAUSSIAN_MIXTURE_SYMMETRIC = "gaussian_mixture_symmetric"
 # Rademacher signs, so that no temporary grows with the number of points.
 RADEMACHER_WORDS = 1 << 16
 
-# MGF-domination constants B with rho = B / sqrt(variance), for the
-# unit-variance normalized laws:
-#   gaussian:           E[exp(tX)] = exp(t^2/2)                        -> rho = 1
-#   rademacher:         cosh(t) <= exp(t^2/2)                          -> rho = 1
-#   uniform_symmetric:  sinh(ta)/(ta) <= exp(t^2 a^2 / 6), var = a^2/3 -> rho = 1
-#   mixture:            cosh(vt) exp(t^2/2) <= exp((1+v^2) t^2 / 2)    -> rho = 1
-RELATIVE_MOMENTS = {
-    GAUSSIAN: 1.0,
-    RADEMACHER: 1.0,
-    UNIFORM_SYMMETRIC: 1.0,
-    GAUSSIAN_MIXTURE_SYMMETRIC: 1.0,
-}
+# The law kinds, in the order the sampler draws them for each point.
+LAW_KINDS = (GAUSSIAN, RADEMACHER, UNIFORM_SYMMETRIC, GAUSSIAN_MIXTURE_SYMMETRIC)
 
 
 class DistSpecError(ValueError):
@@ -47,11 +37,16 @@ class DistSpecError(ValueError):
 
 
 def relative_moment(kind: str) -> float:
-    """Registry lookup of the sub-Gaussian relative moment for a law kind."""
-    try:
-        return RELATIVE_MOMENTS[kind]
-    except KeyError:
-        raise DistSpecError(f"unknown law kind {kind!r}") from None
+    """The sub-Gaussian relative moment rho = B / sqrt(variance) of a law kind,
+    from its MGF-domination constant B; it is 1 for every unit-variance law:
+      gaussian:           E[exp(tX)] = exp(t^2/2)
+      rademacher:         cosh(t) <= exp(t^2/2)
+      uniform_symmetric:  sinh(ta)/(ta) <= exp(t^2 a^2 / 6), var = a^2/3
+      mixture:            cosh(vt) exp(t^2/2) <= exp((1+v^2) t^2 / 2)
+    """
+    if kind not in LAW_KINDS:
+        raise DistSpecError(f"unknown law kind {kind!r}")
+    return 1.0
 
 
 @dataclass(frozen=True)
@@ -203,10 +198,12 @@ def _sample_rows(spec: DistributionSpec, start: int, stop: int, seed: int,
 
     Before point i the generator is reset to key (seed, stream), counter
     [0, 0, 0, i] and an empty buffer: the state of a generator built for that
-    point alone, at a fraction of the cost of building one.  Only the reset and
-    the generator calls run per point, in a fixed order: Gaussian, Rademacher,
-    uniform and mixture coordinates, then the uniform of a coin or flip label.
-    Gaussian coordinates in one run of columns are drawn into the row itself.
+    point alone, at a fraction of the cost of building one; the state holds
+    plain ints, which the state setter reads faster than numpy scalars.  Only
+    the reset and the generator calls run per point, in a fixed order: the
+    coordinates kind by kind in LAW_KINDS order, then the uniform of a coin or
+    flip label.  Gaussian coordinates in one run of columns are drawn into the
+    row itself.
 
     Rademacher signs come from raw words.  `integers(0, 2, k)` returns bit 31
     of each 32-bit half of the next Philox words, low half first: Lemire's
@@ -219,8 +216,9 @@ def _sample_rows(spec: DistributionSpec, start: int, stop: int, seed: int,
 
     After the loop the rows are scaled in place (the same products as a
     per-row multiply), then each row is rotated and its halfspace label taken
-    from a per-row dot product: one matrix product over all rows can round
-    differently.  The recorded uniforms become coin and flip labels last.
+    from a per-row `ndarray.dot` (the BLAS ddot that `@` reaches, at less call
+    overhead): one matrix product over all rows can round differently.  The
+    recorded uniforms become coin and flip labels last.
     """
     check_int("seed", seed, least=0, below=SEED_LIMIT, error=DistSpecError)
     check_int("stream", stream, least=0, below=SEED_LIMIT, error=DistSpecError)
@@ -253,11 +251,10 @@ def _sample_rows(spec: DistributionSpec, start: int, stop: int, seed: int,
     a = math.sqrt(3.0)
     bitgen = np.random.Philox(0)  # a fixed seed, so no OS entropy is read
     rng = np.random.Generator(bitgen)
-    counter = np.zeros(4, dtype=np.uint64)
+    counter = [0, 0, 0, 0]
     state = {"bit_generator": "Philox",
-             "state": {"counter": counter, "key": np.array([seed, stream], dtype=np.uint64)},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
+             "state": {"counter": counter, "key": [int(seed), int(stream)]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i in range(n):
         counter[3] = start + i
         bitgen.state = state
@@ -288,13 +285,41 @@ def _sample_rows(spec: DistributionSpec, start: int, stop: int, seed: int,
             if spec.rotation is not None:
                 x[:] = spec.rotation @ x
             if lm.kind == "halfspace":
-                labels[i] = _sign(float(lm.w @ x))
+                labels[i] = _sign(lm.w.dot(x))
             elif lm.kind == "halfspace_with_flip":
-                y = _sign(float(lm.w @ x))
+                y = _sign(lm.w.dot(x))
                 labels[i] = -y if labels[i] < lm.flip else y
     if lm.kind == "coin":
         labels = np.where(labels < lm.p, 1.0, -1.0)
     return points, labels
+
+
+def halfspace_prefix(spec: DistributionSpec) -> int | None:
+    """A j < d whose sub-spec (laws[:j], variances[:j], w[:j]) draws the
+    first j coordinates and the labels of `spec` bit for bit, else None.
+
+    Only an unrotated halfspace whose w has one non-zero entry, at k,
+    qualifies: the other products are exact zeros, so any prefix holding k
+    sums to the same label, where two non-zeros could be summed in another
+    order.  j = k + 1, or k + 2 when that pairs an odd count of Rademacher
+    columns into one raw word instead of an `integers(0, 2)` call.  The
+    sub-spec draws the first draws of `spec` when no kind in laws[:j] comes
+    later in LAW_KINDS than a kind in laws[j:].
+    """
+    lm = spec.label_model
+    if lm.kind != "halfspace" or spec.rotation is not None:
+        return None
+    support = np.flatnonzero(lm.w)
+    if support.size != 1:
+        return None
+    kinds = [l.kind for l in spec.laws]
+    j = int(support[0]) + 1
+    if j < spec.d and kinds[j] == RADEMACHER and kinds[:j].count(RADEMACHER) % 2:
+        j += 1
+    if j >= spec.d or (max(map(LAW_KINDS.index, kinds[:j]))
+                       > min(map(LAW_KINDS.index, kinds[j:]))):
+        return None
+    return j
 
 
 def sample(spec: DistributionSpec, m: int, seed: int, stream: int = 0) -> LabeledSample:

@@ -27,7 +27,9 @@ from .dist import (
     DistributionSpec,
     DistSpecError,
     LabeledSample,
+    LabelModel,
     _sample_rows,
+    halfspace_prefix,
     sample,
 )
 from .optim import (
@@ -241,6 +243,9 @@ def estimate_lstar(spec: DistributionSpec, gamma: float, seed: int,
     direction when the label model is a halfspace, and for the
     mixture-component model the axis of the first mixture coordinate, whose
     component sign is the label.  None when no best direction is known.
+
+    The count reads only x . w, so when `dist.halfspace_prefix` names leading
+    columns that give the same bits, only those are drawn.
     """
     check_positive("gamma", gamma)
     check_int("draws", draws, error=DistSpecError)
@@ -254,6 +259,11 @@ def estimate_lstar(spec: DistributionSpec, gamma: float, seed: int,
             w = spec.rotation @ w
     else:
         return None
+    j = halfspace_prefix(spec)
+    if j is not None:
+        spec = DistributionSpec(laws=spec.laws[:j], variances=spec.variances[:j],
+                                label_model=LabelModel("halfspace", w=lm.w[:j]))
+        w = w[:j]
     below = 0
     for start in range(0, draws, LSTAR_CHUNK):
         points, labels = _sample_rows(spec, start, min(start + LSTAR_CHUNK, draws),

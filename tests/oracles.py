@@ -19,11 +19,14 @@ from margin_spectra.dist import (
     DistributionSpec,
     DistSpecError,
     LabeledSample,
+    _sample_rows,
     sample,
 )
 from margin_spectra.learner import (
     HINGE_ITERS,
     HINGE_RESTARTS,
+    LSTAR_CHUNK,
+    LSTAR_STREAM,
     CurveEntry,
     LearningCurve,
     NotShatteredError,
@@ -195,6 +198,28 @@ def per_point_sample(spec: DistributionSpec, m: int, seed: int, stream: int = 0)
             labels[i] = component
         points[i] = x
     return LabeledSample(points=points, labels=labels)
+
+
+def full_draw_lstar(spec: DistributionSpec, gamma: float, seed: int,
+                    draws: int = 100_000) -> float | None:
+    """Oracle: estimate_lstar drawing every column of every point, in chunks
+    of LSTAR_CHUNK points from stream LSTAR_STREAM."""
+    lm = spec.label_model
+    if lm.kind in ("halfspace", "halfspace_with_flip"):
+        w = lm.w / np.linalg.norm(lm.w)
+    elif lm.kind == "mixture_component":
+        w = np.zeros(spec.d)
+        w[[law.kind for law in spec.laws].index(GAUSSIAN_MIXTURE_SYMMETRIC)] = 1.0
+        if spec.rotation is not None:
+            w = spec.rotation @ w
+    else:
+        return None
+    below = 0
+    for start in range(0, draws, LSTAR_CHUNK):
+        points, labels = _sample_rows(spec, start, min(start + LSTAR_CHUNK, draws),
+                                      seed, LSTAR_STREAM)
+        below += int(np.count_nonzero(_below_margin(labels * (points @ w), gamma)))
+    return below / draws
 
 
 def full_hinge_subgradient(S: LabeledSample, gamma: float, seed: int) -> np.ndarray:

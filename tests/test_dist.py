@@ -7,6 +7,7 @@ import pytest
 from margin_spectra.dist import (
     GAUSSIAN,
     GAUSSIAN_MIXTURE_SYMMETRIC,
+    LAW_KINDS,
     RADEMACHER,
     RADEMACHER_WORDS,
     UNIFORM_SYMMETRIC,
@@ -15,6 +16,7 @@ from margin_spectra.dist import (
     DistributionSpec,
     LabeledSample,
     LabelModel,
+    halfspace_prefix,
     paper_example,
     relative_moment,
     sample,
@@ -131,16 +133,34 @@ def rademacher_oracle_specs(k: int):
     return [DistributionSpec(laws=laws, variances=variances, label_model=lm) for lm in labels]
 
 
+def wide_halfspace_specs():
+    """A d=257 halfspace, with and without a rotation, whose w entries span 16
+    orders of magnitude: the label's dot product crosses BLAS block edges."""
+    d = 257
+    laws = tuple(CoordinateLaw(GAUSSIAN if i % 3 else UNIFORM_SYMMETRIC) for i in range(d))
+    w = np.logspace(-8, 8, d) * np.where(np.arange(d) % 2, -1.0, 1.0)
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((d, d)))
+    return [DistributionSpec(laws=laws, variances=np.linspace(0.1, 3.0, d),
+                             label_model=LabelModel("halfspace", w=w), rotation=r)
+            for r in (None, q)]
+
+
 @pytest.mark.parametrize("spec", oracle_specs()
-                         + [s for k in (2, 3, 20, 21) for s in rademacher_oracle_specs(k)])
+                         + [s for k in (2, 3, 20, 21) for s in rademacher_oracle_specs(k)]
+                         + wide_halfspace_specs())
 def test_matches_per_point_generator_oracle(spec):
-    """One generator reset per point draws the same bits as one generator per point."""
+    """One generator reset per point draws the same bits as one generator per
+    point, and numpy integer seeds and streams draw what plain ints do."""
     for seed in (0, 7, 2**63 - 1):
         for stream in (0, 7, 2**63 - 1):
             got = sample(spec, 25, seed, stream=stream)
             want = per_point_sample(spec, 25, seed, stream=stream)
             assert got.points.tobytes() == want.points.tobytes()
             assert got.labels.tobytes() == want.labels.tobytes()
+    top = 2**63 - 1
+    numpy_ints = sample(spec, 25, np.uint64(top), stream=np.int64(top))
+    assert numpy_ints.points.tobytes() == got.points.tobytes()
+    assert numpy_ints.labels.tobytes() == got.labels.tobytes()
 
 
 @pytest.mark.parametrize("k", [20, 21])
@@ -153,6 +173,33 @@ def test_matches_oracle_past_one_word_block(k):
     want = per_point_sample(spec, m, seed=3, stream=1)
     assert got.points.tobytes() == want.points.tobytes()
     assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def test_halfspace_prefix_draws_the_leading_columns():
+    """On random halfspace specs of mixed kinds, half of them in draw order,
+    the sub-spec of the first halfspace_prefix(spec) columns draws those
+    columns and the labels bit for bit."""
+    rng = np.random.default_rng(11)
+    used = 0
+    for t in range(200):
+        d = int(rng.integers(2, 9))
+        kinds = [LAW_KINDS[i] for i in rng.integers(0, len(LAW_KINDS), d)]
+        if t % 2:
+            kinds.sort(key=LAW_KINDS.index)
+        laws = tuple(CoordinateLaw(k, {"v": 1.2} if k == GAUSSIAN_MIXTURE_SYMMETRIC else {})
+                     for k in kinds)
+        w = np.zeros(d)
+        w[rng.integers(d)] = rng.choice([-2.0, 0.5, 3.0])
+        spec = DistributionSpec(laws, rng.uniform(0.5, 2.0, d), LabelModel("halfspace", w=w))
+        j = halfspace_prefix(spec)
+        if j is None:
+            continue
+        used += 1
+        sub = DistributionSpec(laws[:j], spec.variances[:j], LabelModel("halfspace", w=w[:j]))
+        full, part = sample(spec, 20, seed=5, stream=3), sample(sub, 20, seed=5, stream=3)
+        assert part.points.tobytes() == np.ascontiguousarray(full.points[:, :j]).tobytes()
+        assert part.labels.tobytes() == full.labels.tobytes()
+    assert used >= 50
 
 
 @pytest.mark.parametrize("kind", [GAUSSIAN, RADEMACHER])
@@ -209,8 +256,9 @@ class TestLabels:
 
 class TestRelativeMoments:
     def test_registry(self):
-        for kind in (GAUSSIAN, RADEMACHER, UNIFORM_SYMMETRIC,
-                     GAUSSIAN_MIXTURE_SYMMETRIC):
+        assert LAW_KINDS == (GAUSSIAN, RADEMACHER, UNIFORM_SYMMETRIC,
+                             GAUSSIAN_MIXTURE_SYMMETRIC)
+        for kind in LAW_KINDS:
             assert relative_moment(kind) == 1.0
 
     def test_unknown_kind(self):

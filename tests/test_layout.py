@@ -65,3 +65,12 @@ def test_learning_curve_rules_only_in_learner():
     source = (SRC / "cli.py").read_text()
     assert [name for name in ("EXACT_CAP", "LEARNER_KINDS", "_check_m_grid", "_check_learner")
             if name in source] == []
+
+
+def test_draw_order_only_in_dist():
+    """The sampler's draw order is written once, as dist.LAW_KINDS: learner
+    names no law kind by string and ranks no kinds of its own."""
+    source = (SRC / "learner.py").read_text()
+    kinds = r"gaussian|rademacher|uniform_symmetric|gaussian_mixture_symmetric"
+    assert re.findall(rf"""["']({kinds})["']""", source) == []
+    assert re.findall(r"\b(LAW_KINDS|GAUSSIAN|RADEMACHER|UNIFORM_SYMMETRIC)\b", source) == []

@@ -7,10 +7,15 @@ import pytest
 
 from margin_spectra import learner
 from margin_spectra.dist import (
+    GAUSSIAN,
+    GAUSSIAN_MIXTURE_SYMMETRIC,
+    RADEMACHER,
+    UNIFORM_SYMMETRIC,
     CoordinateLaw,
     DistributionSpec,
     DistSpecError,
     LabelModel,
+    halfspace_prefix,
     paper_example,
     sample,
 )
@@ -36,6 +41,7 @@ import oracles
 from oracles import (
     brute_force_min_norm,
     enumerating_adversarial_minimizer,
+    full_draw_lstar,
     full_hinge_subgradient,
     per_size_learning_curve,
 )
@@ -321,6 +327,23 @@ class TestGenerative:
             generative_nearest_mean(S)
 
 
+def lstar_spec(layout: str, support, label="halfspace", rotate=False) -> DistributionSpec:
+    """Coordinates of kinds G(aussian), R(ademacher), U(niform) and M(ixture)
+    in `layout` order, labelled by a halfspace with w non-zero on `support`."""
+    kinds = {"G": GAUSSIAN, "R": RADEMACHER, "U": UNIFORM_SYMMETRIC,
+             "M": GAUSSIAN_MIXTURE_SYMMETRIC}
+    d = len(layout)
+    laws = tuple(CoordinateLaw(kinds[c], {"v": 1.5} if c == "M" else {}) for c in layout)
+    w = np.zeros(d)
+    w[list(support)] = np.linspace(1.5, -0.7, len(support))
+    rotation = None
+    if rotate:
+        rotation, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((d, d)))
+    return DistributionSpec(
+        laws=laws, variances=np.linspace(0.5, 2.0, d), rotation=rotation,
+        label_model=LabelModel(label, w=w, flip=0.2 if label != "halfspace" else None))
+
+
 class TestLstar:
     def test_halfspace_is_margin_loss_of_true_direction(self):
         spec = DistributionSpec(
@@ -371,6 +394,48 @@ class TestLstar:
                         (paper_example("gaussian_mixture", d=5, v=1.0), np.eye(5)[0])):
             one_draw = sample(spec, draws, seed=3, stream=LSTAR_STREAM)
             assert estimate_lstar(spec, 0.8, seed=3, draws=draws) == margin_loss(w, one_draw, 0.8)
+
+    @pytest.mark.parametrize("spec,j", [
+        (lstar_spec("GGGGGG", [0]), 1),  # the single non-zero first
+        (lstar_spec("GGGGGG", [2]), 3),  # ... in the middle
+        (lstar_spec("GGGGGG", [5]), None),  # ... last: nothing to leave out
+        (lstar_spec("GGGRRR", [1]), 2),  # G|R
+        (lstar_spec("RRRGGG", [1]), None),  # R|G: the Gaussians are drawn first
+        (lstar_spec("UGGGGG", [0]), None),  # ... as they are before a uniform
+        (lstar_spec("RRRUUU", [2]), 3),  # R|U, odd Rademacher count below j
+        (lstar_spec("RRRRUU", [2]), 4),  # odd count, next column Rademacher: pair it
+        (lstar_spec("RRRRUU", [1]), 2),  # even Rademacher count below j
+        (lstar_spec("UGUGUG", [2]), None),  # kinds interleaved
+        (lstar_spec("GGGMMM", [2]), 3),  # G|mixture
+        (lstar_spec("MGGGGG", [0]), None),  # mixture before the Gaussians
+        (lstar_spec("GGGGGG", [0, 3]), None),  # two non-zeros
+        (lstar_spec("GGGGGG", [0], rotate=True), None),
+        (lstar_spec("GGGGGG", [0], label="halfspace_with_flip"), None),
+        (paper_example("gaussian_mixture", d=5, v=1.0), None),
+        (paper_example("spiky", d=201), 1),
+        (paper_example("bernoulli", d=20), 2),
+    ])
+    def test_matches_full_draw_oracle(self, spec, j):
+        """Only the leading columns halfspace_prefix names are drawn, and the
+        estimate has the bits of the full draw whether it uses them or not."""
+        assert halfspace_prefix(spec) == j
+        draws = 2 * LSTAR_CHUNK + 17
+        want = full_draw_lstar(spec, 0.8, seed=3, draws=draws)
+        assert estimate_lstar(spec, 0.8, seed=3, draws=draws) == want
+        assert estimate_lstar(spec, 0.8, seed=np.int64(3), draws=draws) == want
+
+    def test_stock_examples_draw_their_prefix(self, monkeypatch):
+        """Spiky d=201 draws one column and Bernoulli d=20 two, one raw word."""
+        widths, draw = [], learner._sample_rows
+
+        def recording(spec, *args):
+            widths.append(spec.d)
+            return draw(spec, *args)
+
+        monkeypatch.setattr(learner, "_sample_rows", recording)
+        estimate_lstar(paper_example("spiky", d=201), 1.0, seed=1, draws=10)
+        estimate_lstar(paper_example("bernoulli", d=20), 0.5, seed=1, draws=10)
+        assert widths == [1, 2]
 
 
 class TestLearningCurve:
