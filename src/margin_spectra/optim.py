@@ -3,7 +3,8 @@
 Every eigen-solve or Cholesky factorization of a Gram matrix XX' in the
 package runs here: `gram_eig` (eigenpairs and the singularity check) for exact
 interpolation through the Gram inverse and for the shattering enumeration,
-`gram_lambda_min` where the eigenvalue itself is wanted, and
+`gram_lambda_min` where the eigenvalue itself is wanted (shift-invert Lanczos
+on one Cholesky factor, certified by a second, for large matrices), and
 `gram_lambda_min_at_least` for the indicator lambda_min >= t, which two
 shifted Cholesky factorizations decide outside a narrow band around t.
 Minimum-norm points under linear inequalities are a least-distance program
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 from scipy.optimize import nnls
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 SINGULARITY_RATIO = 1e-10
 FEAS_TOL = 1e-8
@@ -28,6 +30,12 @@ UNIT_BALL_TOL = 1e-8
 # lambda_min(G) >= t is left to eigvalsh: trace G bounds ||G||, and the
 # rounding of a Cholesky factorization or of eigvalsh scales with ||G||.
 TIE_TOL = 1e-9
+# gram_lambda_min runs Lanczos from this many rows on; eigvalsh is as fast
+# at about 200 rows (one BLAS thread).
+LANCZOS_MIN = 256
+# ARPACK residual tolerance, relative to the Ritz value: the Rayleigh quotient
+# of the Ritz vector errs by about its square, below the rounding of eigvalsh.
+LANCZOS_TOL = 1e-8
 
 
 class SingularGramError(np.linalg.LinAlgError):
@@ -63,14 +71,64 @@ def gram_eig(X: np.ndarray):
     return evals, evecs
 
 
-def gram_lambda_min(X: np.ndarray) -> float:
-    """Smallest eigenvalue of XX' (eigenvalues only, no eigenvectors)."""
-    return float(np.linalg.eigvalsh(X @ X.T)[0])
+def _eigvalsh_min(G: np.ndarray) -> float:
+    """Smallest eigenvalue of symmetric G by a full eigvalsh."""
+    return float(np.linalg.eigvalsh(G)[0])
+
+
+def _shifted(G: np.ndarray, c: float, out: np.ndarray | None = None) -> np.ndarray:
+    """G - c I in Fortran order, written into `out` (a new array when None)."""
+    if out is None:
+        out = np.empty(G.shape, order="F")
+    out[...] = G
+    out.flat[::G.shape[0] + 1] -= c
+    return out
 
 
 def _positive_definite(A: np.ndarray) -> bool:
-    """Whether LAPACK's Cholesky factorization of symmetric A succeeds."""
-    return lapack.dpotrf(A, lower=True, clean=False)[1] == 0
+    """Whether LAPACK's Cholesky factorization of symmetric A succeeds; it
+    overwrites A when A is in Fortran order."""
+    return lapack.dpotrf(A, lower=True, clean=False, overwrite_a=True)[1] == 0
+
+
+def gram_lambda_min(G: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric Gram matrix G (eigvalsh's value up to
+    rounding).
+
+    From LANCZOS_MIN rows on, G is factored by Cholesky and ARPACK's Lanczos
+    finds the largest eigenvalue of G^{-1} from a fixed start vector, one
+    triangular solve pair per step.  The Rayleigh quotient rho = v'Gv / v'v of
+    its Ritz vector v is returned if a Cholesky factorization of
+    G - (rho - band) I, band = TIE_TOL * max(rho, trace G), succeeds and
+    rho > band.  (rho - band, rho] then brackets lambda_min: no Rayleigh
+    quotient lies below lambda_min, and the factorization exists only if every
+    eigenvalue exceeds rho - band (both up to rounding that scales with
+    ||G|| <= trace G, far below the band).  So a Ritz pair that is not the
+    extremal one cannot pass.  Small G, a G not certified positive definite
+    (singular, such as m > d points, or indefinite), an ARPACK failure and a
+    failed certificate go to eigvalsh.  Besides G the Lanczos path holds one
+    m x m array, the factor, whose buffer the certificate reuses.
+    """
+    m = G.shape[0]
+    if m < LANCZOS_MIN:
+        return _eigvalsh_min(G)
+    # G.T is G in Fortran order, so LAPACK reads it without a transposing copy
+    factor, info = lapack.dpotrf(G.T, lower=True, clean=False)
+    if info != 0:
+        return _eigvalsh_min(G)
+    inverse = LinearOperator((m, m), dtype=float,
+                             matvec=lambda v: lapack.dpotrs(factor, v, lower=True)[0])
+    try:
+        _, vecs = eigsh(inverse, k=1, which="LA", tol=LANCZOS_TOL,
+                        v0=np.random.default_rng(0).uniform(-1.0, 1.0, m))
+    except ArpackError:
+        return _eigvalsh_min(G)
+    v = vecs[:, 0]
+    rho = float(v @ (G @ v)) / float(v @ v)
+    band = TIE_TOL * max(rho, float(np.trace(G)))
+    if rho > band and _positive_definite(_shifted(G.T, rho - band, out=factor)):
+        return rho
+    return _eigvalsh_min(G)
 
 
 def gram_lambda_min_at_least(G: np.ndarray, t: float) -> bool:
@@ -82,13 +140,12 @@ def gram_lambda_min_at_least(G: np.ndarray, t: float) -> bool:
     such as Hadamard rows), eigvalsh decides.
     """
     band = TIE_TOL * max(t, float(np.trace(G)))
-    eye = np.eye(G.shape[0])
     # band is 0 only for G = 0 and t = 0, a tie eigvalsh must decide
-    if band > 0 and not _positive_definite(G - (t - band) * eye):
+    if band > 0 and not _positive_definite(_shifted(G, t - band)):
         return False
-    if _positive_definite(G - (t + band) * eye):
+    if _positive_definite(_shifted(G, t + band)):
         return True
-    return float(np.linalg.eigvalsh(G)[0]) >= t
+    return _eigvalsh_min(G) >= t
 
 
 def min_norm_interpolator(X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -198,8 +198,10 @@ def edge_mc_compare(spec: DistributionSpec, beta: float, d: int,
     predicted = asymptotic_edge(sigma, m / d)
 
     def one(t: int) -> float:
-        pts = sample(spec, m, seed, stream=t).points
-        return gram_lambda_min(pts) / d
+        X = sample(spec, m, seed, stream=t).points
+        G = X @ X.T
+        del X  # so the solve holds G and one m x m buffer, not the m x d sample
+        return gram_lambda_min(G) / d
 
     emp = float(np.mean(map_trials(one, trials, workers)))
     return EdgeCompareReport(empirical_mean=emp, predicted=predicted,

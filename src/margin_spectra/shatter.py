@@ -71,14 +71,33 @@ class FatShatteringEstimate:
     gamma: float
 
 
-def _sign_block(m: int, start: int, count: int) -> np.ndarray:
-    """Rows `start..start+count` of the {+-1}^m enumeration with y[0] = +1."""
-    idx = np.arange(start, start + count, dtype=np.uint64)[:, None]
-    bits = (idx >> np.arange(m - 1, dtype=np.uint64)[None, ::-1]) & 1
-    y = np.empty((count, m))
-    y[:, 0] = 1.0
-    y[:, 1:] = 1.0 - 2.0 * bits
-    return y
+def _signs(k: int) -> np.ndarray:
+    """All 2^k rows of k signs in enumeration order: bit j of the row index,
+    most significant first, sets sign j to -1."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1
+    return 1.0 - 2.0 * bits
+
+
+def _sign_tables(m: int):
+    """The two halves of the {+-1}^m enumeration with y[0] = +1.
+
+    With h = (m-1)//2, y_p holds the 2^h rows of y[0..h] (+1, then the h most
+    significant signs) and y_q the 2^(m-1-h) rows of the other signs;
+    labeling p * len(y_q) + q is y_p[p] followed by y_q[q].
+    """
+    h = (m - 1) // 2
+    return np.hstack([np.ones((1 << h, 1)), _signs(h)]), _signs(m - 1 - h)
+
+
+def _sign_rows(y_p: np.ndarray, y_q: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Rows `start..start+count` of the enumeration, copied from its sign
+    tables; start and count are multiples of len(y_q)."""
+    nq, hp = y_q.shape[0], y_p.shape[1]
+    y_p = y_p[start // nq:(start + count) // nq]
+    y = np.empty((y_p.shape[0], nq, hp + y_q.shape[1]))
+    y[:, :, :hp] = y_p[:, None, :]
+    y[:, :, hp:] = y_q
+    return y.reshape(count, -1)
 
 
 def _screen(evals: np.ndarray, evecs: np.ndarray):
@@ -110,8 +129,7 @@ def _screen(evals: np.ndarray, evecs: np.ndarray):
     m = evals.size
     h = (m - 1) // 2
     A = (evecs / evals) @ evecs.T
-    y_p = _sign_block(h + 1, 0, 1 << h)
-    y_q = _sign_block(m - h, 0, 1 << (m - 1 - h))[:, 1:]
+    y_p, y_q = _sign_tables(m)
     P, Q = slice(0, h + 1), slice(h + 1, m)
     S = (y_p @ (2.0 * A[P, Q])) @ y_q.T
     S += np.einsum("ij,ij->i", y_p @ A[P, P], y_p)[:, None]
@@ -151,11 +169,12 @@ def shatter_at_origin(X: np.ndarray, gamma: float) -> ShatterCertificate:
     if total > _CHUNK:
         values, floor = _screen(evals, evecs)
         starts = _CHUNK * np.flatnonzero(values.reshape(-1, _CHUNK).max(axis=1) >= floor)
+    y_p, y_q = _sign_tables(m)
     worst = -math.inf
     worst_y = None
     for start in starts:
         count = min(_CHUNK, total - start)
-        y = _sign_block(m, start, count)
+        y = _sign_rows(y_p, y_q, start, count)
         c = y @ evecs
         vals = np.sum(c * c / evals, axis=1)
         i = int(np.argmax(vals))

@@ -39,7 +39,6 @@ from margin_spectra.optim import (
     QpSolution,
     SingularGramError,
     gram_eig,
-    gram_lambda_min,
     min_norm_interpolator,
 )
 from margin_spectra.randmat import map_trials
@@ -49,7 +48,6 @@ from margin_spectra.shatter import (
     WORST_VALUE_SLACK,
     EnumerationCapError,
     ShatterCertificate,
-    _sign_block,
     shatter_at_origin,
 )
 from margin_spectra.spectral import SpectrumValidationError
@@ -270,8 +268,8 @@ def full_hinge_subgradient(S: LabeledSample, gamma: float, seed: int) -> np.ndar
 
 
 def eigvalsh_sufficient(X: np.ndarray, gamma: float) -> bool:
-    """Oracle: the eigenvalue test lambda_min(XX') >= m gamma^2."""
-    return gram_lambda_min(X) >= X.shape[0] * gamma * gamma
+    """Oracle: the eigenvalue test lambda_min(XX') >= m gamma^2 by a full eigvalsh."""
+    return np.linalg.eigvalsh(X @ X.T)[0] >= X.shape[0] * gamma * gamma
 
 
 def eigvalsh_threshold(points: np.ndarray, gamma: float) -> int:
@@ -288,6 +286,26 @@ def eigvalsh_threshold(points: np.ndarray, gamma: float) -> int:
         else:
             hi = mid
     return hi
+
+
+def hadamard(n: int) -> np.ndarray:
+    """Sylvester's Hadamard matrix of order n, a power of 2: +-1 entries and
+    H H' = n I."""
+    H = np.ones((1, 1))
+    while H.shape[0] < n:
+        H = np.block([[H, H], [H, -H]])
+    return H
+
+
+def sign_block(m: int, start: int, count: int) -> np.ndarray:
+    """Oracle: rows `start..start+count` of the {+-1}^m enumeration with
+    y[0] = +1, from the bits of each row index (most significant first)."""
+    idx = np.arange(start, start + count, dtype=np.uint64)[:, None]
+    bits = (idx >> np.arange(m - 1, dtype=np.uint64)[None, ::-1]) & 1
+    y = np.empty((count, m))
+    y[:, 0] = 1.0
+    y[:, 1:] = 1.0 - 2.0 * bits
+    return y
 
 
 def enumerating_shatter_certificate(X: np.ndarray, gamma: float) -> ShatterCertificate:
@@ -312,7 +330,7 @@ def enumerating_shatter_certificate(X: np.ndarray, gamma: float) -> ShatterCerti
     worst_y = None
     for start in range(0, total, _CHUNK):
         count = min(_CHUNK, total - start)
-        y = _sign_block(m, start, count)
+        y = sign_block(m, start, count)
         c = y @ evecs
         vals = np.sum(c * c / evals, axis=1)
         i = int(np.argmax(vals))

@@ -1,17 +1,23 @@
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from margin_spectra import optim
 from margin_spectra.optim import (
     FEAS_TOL,
+    LANCZOS_MIN,
     LDP_TOL,
+    TIE_TOL,
     SingularGramError,
+    gram_lambda_min,
     min_norm_interpolator,
     solve_min_norm_ineq,
 )
-from oracles import brute_force_min_norm, kkt_check
+from oracles import brute_force_min_norm, hadamard, kkt_check
 
 # Stationarity residual ||A_act' lam - 2 w|| allowed per unit of max(1, ||w||);
 # the worst seen on oracle_systems was 4.4e-14.
@@ -180,3 +186,101 @@ class TestKktCheck:
         sol = solve_min_norm_ineq(A, b)
         with pytest.raises(ValueError):
             kkt_check(sol, A, b)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The sizes of the Gram matrices gram_lambda_min hands to eigvalsh."""
+    sizes = []
+    real = optim._eigvalsh_min
+
+    def spy(G):
+        sizes.append(G.shape[0])
+        return real(G)
+
+    monkeypatch.setattr(optim, "_eigvalsh_min", spy)
+    return sizes
+
+
+def assert_brackets_eigvalsh(G):
+    """gram_lambda_min(G) = rho with eigvalsh's lambda_min in (rho - band, rho]
+    and within rounding of rho."""
+    rho = gram_lambda_min(G)
+    evals = np.linalg.eigvalsh(G)
+    band = TIE_TOL * max(rho, float(np.trace(G)))
+    rounding = G.shape[0] * np.finfo(float).eps * max(evals[-1], 1.0)
+    assert rho - band < evals[0] <= rho + rounding
+    assert abs(rho - evals[0]) <= rounding
+
+
+class TestGramLambdaMin:
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+    @pytest.mark.parametrize("m, d", [(LANCZOS_MIN, 300), (300, 600), (400, 2000), (500, 520)])
+    def test_random_grams_take_lanczos(self, kind, m, d, fallbacks):
+        X = np.random.default_rng(m + d).standard_normal((m, d))
+        if kind == "rademacher":
+            X = np.sign(X)
+        assert_brackets_eigvalsh(X @ X.T)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("rows, scale", [(512, 1.0), (300, 3.0), (LANCZOS_MIN, 0.5)])
+    def test_hadamard_repeated_eigenvalues(self, rows, scale, fallbacks):
+        # the Gram matrix of scaled Hadamard rows is scale^2 * 512 * I
+        X = scale * hadamard(512)[:rows]
+        assert_brackets_eigvalsh(X @ X.T)
+        assert fallbacks == []
+
+    def test_repeated_smallest_eigenvalue(self, fallbacks):
+        X = hadamard(512)[:300] * np.r_[np.ones(5), np.linspace(1.5, 3.0, 295)][:, None]
+        assert_brackets_eigvalsh(X @ X.T)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_tiny_grams(self, m, fallbacks):
+        X = np.random.default_rng(m).standard_normal((m, 4))
+        assert_brackets_eigvalsh(X @ X.T)
+        assert fallbacks == [m]
+
+    @pytest.mark.parametrize("shape, duplicate", [((300, 600), True), ((300, 200), False)],
+                             ids=["duplicate_rows", "m_over_d"])
+    def test_singular_grams_take_eigvalsh(self, shape, duplicate, fallbacks):
+        X = np.random.default_rng(4).standard_normal(shape)
+        if duplicate:
+            X[-1] = X[0]
+        G = X @ X.T
+        assert gram_lambda_min(G) == np.linalg.eigvalsh(G)[0]
+        assert fallbacks == [shape[0]]
+
+    def test_non_extremal_ritz_pair_fails_certificate(self, monkeypatch, fallbacks):
+        X = np.random.default_rng(8).standard_normal((300, 600))
+        G = X @ X.T
+        evals, evecs = np.linalg.eigh(G)
+
+        def second_pair(op, k, **kwargs):  # the Ritz pair of G's second eigenvalue
+            return np.array([1.0 / evals[1]]), evecs[:, 1:2]
+
+        monkeypatch.setattr(optim, "eigsh", second_pair)
+        assert gram_lambda_min(G) == np.linalg.eigvalsh(G)[0]
+        assert fallbacks == [300]
+
+    def test_arpack_failure_takes_eigvalsh(self, monkeypatch, fallbacks):
+        def no_convergence(op, k, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((op.shape[0], 0)))
+
+        monkeypatch.setattr(optim, "eigsh", no_convergence)
+        X = np.random.default_rng(9).standard_normal((300, 600))
+        G = X @ X.T
+        assert gram_lambda_min(G) == np.linalg.eigvalsh(G)[0]
+        assert fallbacks == [300]
+
+    def test_holds_one_extra_buffer(self):
+        m = 1000
+        X = np.random.default_rng(10).standard_normal((m, 2 * m))
+        G = X @ X.T
+        tracemalloc.start()
+        try:
+            gram_lambda_min(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * m * m + 2**21  # the factor, plus Lanczos vectors

@@ -1,10 +1,12 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from margin_spectra import optim
 from margin_spectra.dist import (
     CoordinateLaw,
     DistributionSpec,
@@ -164,6 +166,36 @@ class TestEdgeCompare:
     def test_moderate_scale_gaussian(self):
         rep = edge_mc_compare(iso_gaussian(600), 0.25, 600, trials=5, seed=3)
         assert rep.rel_error < 0.15
+
+    def test_lanczos_path_deterministic(self, monkeypatch):
+        eigsh_calls = []
+        real_eigsh = optim.eigsh
+
+        def counted_eigsh(*args, **kwargs):
+            eigsh_calls.append(1)
+            return real_eigsh(*args, **kwargs)
+
+        def no_fallback(G):
+            raise AssertionError(f"eigvalsh fallback at m={G.shape[0]}")
+
+        monkeypatch.setattr(optim, "eigsh", counted_eigsh)
+        monkeypatch.setattr(optim, "_eigvalsh_min", no_fallback)
+        spec = iso_gaussian(600)
+        runs = [edge_mc_compare(spec, 0.5, 600, trials=4, seed=12, workers=w) for w in (1, 2, 1)]
+        assert len(eigsh_calls) == 12
+        assert runs[0].rel_error < 0.15
+        assert [repr(r) for r in runs[1:]] == [repr(runs[0])] * 2
+
+    def test_trial_holds_sample_gram_and_one_buffer(self):
+        m, d = 1000, 2000
+        edge_mc_compare(iso_gaussian(d), 0.5, d, trials=1, seed=3)  # warm the imports
+        tracemalloc.start()
+        try:
+            edge_mc_compare(iso_gaussian(d), 0.5, d, trials=1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (m * d + 2 * m * m) + 2**21
 
     def test_rejects_non_iid(self):
         spec = DistributionSpec(laws=(CoordinateLaw("gaussian"), CoordinateLaw("rademacher")),

@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import eigvalsh_sufficient, enumerating_shatter_certificate, projection_limit_bound
+from oracles import (
+    eigvalsh_sufficient,
+    enumerating_shatter_certificate,
+    hadamard,
+    projection_limit_bound,
+    sign_block,
+)
 
 from margin_spectra.optim import (
     SINGULARITY_RATIO,
@@ -17,7 +23,8 @@ from margin_spectra.shatter import (
     EnumerationCapError,
     SubsetBudgetError,
     _screen,
-    _sign_block,
+    _sign_rows,
+    _sign_tables,
     fat_shattering_search,
     fat_shattering_upper_bound,
     lambda_min_sufficient,
@@ -130,13 +137,6 @@ def kept_chunks(X, gamma):
     return int(np.sum(values.reshape(-1, _CHUNK).max(axis=1) >= floor))
 
 
-def hadamard(n):
-    H = np.ones((1, 1))
-    while H.shape[0] < n:
-        H = np.block([[H, H], [H, -H]])
-    return H
-
-
 class TestScreen:
     """The screened enumeration against the full one, bit for bit."""
 
@@ -188,6 +188,20 @@ class TestScreen:
             for gamma in (0.3, 1.0):
                 assert_same_certificate(X, gamma)
 
+    def test_sign_rows_match_bit_enumeration(self):
+        rng = np.random.default_rng(5)
+        for m in range(1, 23):
+            y_p, y_q = _sign_tables(m)
+            nq, total = y_q.shape[0], 1 << (m - 1)
+            blocks = [(start, min(_CHUNK, total - start)) for start in
+                      _CHUNK * rng.choice(-(-total // _CHUNK), min(3, -(-total // _CHUNK)),
+                                          replace=False)]
+            count = nq * int(rng.integers(1, -(-min(total, _CHUNK) // nq) + 1))
+            blocks.append((total - count, count))  # a partial last block
+            for start, count in blocks:
+                assert np.array_equal(_sign_rows(y_p, y_q, start, count),
+                                      sign_block(m, start, count))
+
     def test_screen_error_within_half_slack(self):
         rng = np.random.default_rng(14)
         eps = np.finfo(float).eps
@@ -201,7 +215,7 @@ class TestScreen:
             except SingularGramError:
                 continue
             values, floor = _screen(evals, evecs)
-            c = _sign_block(m, 0, 1 << (m - 1)) @ evecs
+            c = sign_block(m, 0, 1 << (m - 1)) @ evecs
             current = np.sum(c * c / evals, axis=1)
             bound = SCREEN_SLACK * m**3 * eps / evals[0] / 2
             assert np.max(np.abs(values - current)) <= bound
