@@ -7,16 +7,22 @@ interpolation through the Gram inverse and for the shattering enumeration,
 on one Cholesky factor, certified by a second, for large matrices), and
 `gram_lambda_min_at_least` for the indicator lambda_min >= t, which two
 shifted Cholesky factorizations decide outside a narrow band around t.
-Minimum-norm points under linear inequalities are a least-distance program
-reduced to one non-negative least-squares solve.
+Every Cholesky factorization and triangular solve calls LAPACK's dpotrf and
+dpotrs from scipy.linalg.cython_lapack as a C function through ctypes, which
+releases the interpreter lock for the call, so the trial threads of
+randmat.map_trials overlap them.  Minimum-norm points under linear
+inequalities are a least-distance program reduced to one non-negative
+least-squares solve.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
+from scipy.linalg import cython_lapack
 from scipy.optimize import nnls
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -85,10 +91,75 @@ def _shifted(G: np.ndarray, c: float, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
+# The LP64 C signatures of the LAPACK routines called below, as scipy's Cython
+# LAPACK API names them in its capsules; `_D` is a pointer to double.
+_D = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"
+_SIGNATURES = {"dpotrf": f"void (char *, int *, {_D}, int *, int *)",
+               "dpotrs": f"void (char *, int *, int *, {_D}, int *, {_D}, int *, int *)"}
+_ARG_TYPES = {"char *": ctypes.c_char_p, "int *": ctypes.POINTER(ctypes.c_int),
+              _D: ctypes.c_void_p}
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack_routine(name: str, signature: str):
+    """LAPACK routine `name` from scipy.linalg.cython_lapack as a ctypes
+    function, which releases the interpreter lock while it runs; ImportError
+    unless scipy declares it with `signature`."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    declared = _capsule_name(capsule).decode()
+    if declared != signature:
+        raise ImportError(f"scipy {scipy.__version__} declares LAPACK {name} as "
+                          f"{declared!r}, not the LP64 {signature!r} optim calls")
+    arg_types = [_ARG_TYPES[arg] for arg in signature[len("void ("):-1].split(", ")]
+    return ctypes.CFUNCTYPE(None, *arg_types)(_capsule_pointer(capsule, declared.encode()))
+
+
+_potrf = _lapack_routine("dpotrf", _SIGNATURES["dpotrf"])
+_potrs = _lapack_routine("dpotrs", _SIGNATURES["dpotrs"])
+
+
+def _lapack_columns(a: np.ndarray, rows: int | None = None) -> int:
+    """Columns of `a` after checking that LAPACK may read and write it through
+    its data pointer: a writeable Fortran-contiguous float64 array, square when
+    `rows` is None, else a vector or matrix with `rows` rows."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.f_contiguous and a.flags.writeable
+            and (a.ndim == 2 and a.shape[0] == a.shape[1] if rows is None
+                 else a.ndim in (1, 2) and a.shape[0] == rows)):
+        shape = "a square matrix" if rows is None else f"an array with {rows} rows"
+        raise ValueError(f"LAPACK needs {shape} of writeable Fortran-contiguous "
+                         f"float64, got {getattr(a, 'dtype', type(a).__name__)} "
+                         f"of shape {getattr(a, 'shape', None)}")
+    return 1 if a.ndim == 1 else a.shape[1]
+
+
+def _dpotrf(a: np.ndarray) -> int:
+    """LAPACK dpotrf in place: the lower triangle of `a` becomes its Cholesky
+    factor (the strict upper triangle is left as it was).  Returns info: 0 on
+    success, else the order of the leading minor that is not positive definite."""
+    n = _lapack_columns(a)
+    info = ctypes.c_int(0)
+    _potrf(b"L", ctypes.c_int(n), a.ctypes.data, ctypes.c_int(max(1, n)), info)
+    return info.value
+
+
+def _dpotrs(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """LAPACK dpotrs in place: `b` becomes A^{-1} b, for the lower Cholesky
+    factor of A that _dpotrf made, and is returned."""
+    n = _lapack_columns(factor)
+    nrhs = _lapack_columns(b, rows=n)
+    _potrs(b"L", ctypes.c_int(n), ctypes.c_int(nrhs), factor.ctypes.data,
+           ctypes.c_int(max(1, n)), b.ctypes.data, ctypes.c_int(max(1, n)), ctypes.c_int(0))
+    return b
+
+
 def _positive_definite(A: np.ndarray) -> bool:
     """Whether LAPACK's Cholesky factorization of symmetric A succeeds; it
-    overwrites A when A is in Fortran order."""
-    return lapack.dpotrf(A, lower=True, clean=False, overwrite_a=True)[1] == 0
+    overwrites A, which must be in Fortran order."""
+    return _dpotrf(A) == 0
 
 
 def gram_lambda_min(G: np.ndarray) -> float:
@@ -112,12 +183,12 @@ def gram_lambda_min(G: np.ndarray) -> float:
     m = G.shape[0]
     if m < LANCZOS_MIN:
         return _eigvalsh_min(G)
-    # G.T is G in Fortran order, so LAPACK reads it without a transposing copy
-    factor, info = lapack.dpotrf(G.T, lower=True, clean=False)
-    if info != 0:
+    # G.T is G in Fortran order, so the factor is a copy without transposing
+    factor = np.array(G.T, dtype=float, order="F")
+    if not _positive_definite(factor):
         return _eigvalsh_min(G)
     inverse = LinearOperator((m, m), dtype=float,
-                             matvec=lambda v: lapack.dpotrs(factor, v, lower=True)[0])
+                             matvec=lambda v: _dpotrs(factor, np.array(v, dtype=float)))
     try:
         _, vecs = eigsh(inverse, k=1, which="LA", tol=LANCZOS_TOL,
                         v0=np.random.default_rng(0).uniform(-1.0, 1.0, m))

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
+from scipy.linalg import lapack
 
 from margin_spectra.checks import check_int, check_positive, finite_points
 from margin_spectra.dist import (
@@ -286,6 +287,24 @@ def eigvalsh_threshold(points: np.ndarray, gamma: float) -> int:
         else:
             hi = mid
     return hi
+
+
+def f2py_cholesky(G: np.ndarray):
+    """Oracle: scipy's f2py LAPACK dpotrf of the lower triangle of G, which
+    holds the interpreter lock; (factor with its strict upper triangle as in G,
+    info)."""
+    return lapack.dpotrf(G, lower=True, clean=False)
+
+
+def f2py_cholesky_in_place(a: np.ndarray) -> int:
+    """Oracle: f2py_cholesky of a Fortran-order `a`, written over `a`; info."""
+    return lapack.dpotrf(a, lower=True, clean=False, overwrite_a=True)[1]
+
+
+def f2py_cholesky_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Oracle: scipy's f2py LAPACK dpotrs, A^{-1} b from the lower Cholesky
+    factor of A."""
+    return lapack.dpotrs(factor, b, lower=True)[0]
 
 
 def hadamard(n: int) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Layout rules for the package source."""
 
+import ctypes
 import re
 from pathlib import Path
+
+from margin_spectra import optim
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "margin_spectra"
 
@@ -17,6 +20,16 @@ def calls_outside(home: str, pattern: str) -> list[str]:
 def test_gram_eigen_solves_only_in_optim():
     """Every Gram eigen-solve or Cholesky factorization goes through optim."""
     assert calls_outside("optim.py", r"eigh\(|eigvalsh\(|cholesky\(|potrf\(") == []
+
+
+def test_lapack_calls_release_the_lock():
+    """No module calls scipy's f2py LAPACK wrappers, which hold the interpreter
+    lock for the whole call (tests/oracles.py keeps them as the oracle); optim
+    calls dpotrf and dpotrs as C functions, which ctypes calls without it."""
+    assert calls_outside("", r"scipy\.linalg\.lapack|from scipy\.linalg import .*\blapack\b|"
+                             r"\blapack\.\w+\(|get_lapack_funcs") == []
+    for routine in (optim._potrf, optim._potrs):
+        assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
 def test_svd_only_in_spectral():

@@ -1,9 +1,12 @@
 import copy
+import ctypes
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
+from scipy.linalg import cython_lapack
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from margin_spectra import optim
@@ -17,7 +20,15 @@ from margin_spectra.optim import (
     min_norm_interpolator,
     solve_min_norm_ineq,
 )
-from oracles import brute_force_min_norm, hadamard, kkt_check
+from margin_spectra.randmat import map_trials
+from oracles import (
+    brute_force_min_norm,
+    f2py_cholesky,
+    f2py_cholesky_in_place,
+    f2py_cholesky_solve,
+    hadamard,
+    kkt_check,
+)
 
 # Stationarity residual ||A_act' lam - 2 w|| allowed per unit of max(1, ||w||);
 # the worst seen on oracle_systems was 4.4e-14.
@@ -284,3 +295,109 @@ class TestGramLambdaMin:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * m * m + 2**21  # the factor, plus Lanczos vectors
+
+
+def assert_matches_f2py(G, rhs):
+    """optim's dpotrf and dpotrs give the f2py oracle's factor bytes, info and
+    solve bytes on G and on each right-hand side in `rhs`."""
+    factor, info = f2py_cholesky(G)
+    a = np.array(G, order="F")
+    assert optim._dpotrf(a) == info
+    assert a.tobytes(order="F") == factor.tobytes(order="F")
+    if info == 0:
+        for b in rhs:
+            x = optim._dpotrs(a, np.array(b, order="F"))
+            assert x.tobytes(order="F") == f2py_cholesky_solve(factor, b).tobytes(order="F")
+
+
+class TestLapackBinding:
+    @pytest.mark.parametrize("m", [1, 2, 75, 150, LANCZOS_MIN, 600])
+    def test_random_spd_grams_match_f2py(self, m):
+        rng = np.random.default_rng(m)
+        X = rng.standard_normal((m, m + 10))
+        assert_matches_f2py(X @ X.T, [rng.standard_normal(m), rng.standard_normal((m, 3))])
+
+    @pytest.mark.parametrize("rows, shift", [(64, 0.0), (64, 64.0), (64, 64.0 - 1e-7), (40, 64.0)])
+    def test_hadamard_ties_match_f2py(self, rows, shift):
+        # the Gram matrix of Hadamard rows is 64 I: a shift of 64 is an exact tie
+        X = hadamard(64)[:rows]
+        G = X @ X.T - shift * np.eye(rows)
+        assert_matches_f2py(G, [np.ones(rows)])
+
+    def test_singular_and_indefinite_match_f2py(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((30, 40))
+        X[-1] = X[0]
+        Y = rng.standard_normal((30, 10))  # m > d
+        Z = rng.standard_normal((30, 30))
+        W = np.diag([4.0, 3.0, 2.0, -1.0, 5.0]) + 0.1
+        for G in (X @ X.T, Y @ Y.T, Z + Z.T, W, np.zeros((4, 4))):
+            assert_matches_f2py(G, [np.ones(G.shape[0])])
+        # each failing factorization reports the order of its first bad minor
+        assert [f2py_cholesky(G)[1] for G in (Z + Z.T, W, np.zeros((4, 4)))] == [1, 4, 1]
+
+    def test_trial_threads_factor_as_one_thread(self):
+        rng = np.random.default_rng(4)
+        grams = [X @ X.T for X in (rng.standard_normal((300, 320)) for _ in range(16))]
+        b = rng.standard_normal(300)
+
+        def factor_and_solve(t):
+            a = np.array(grams[t], order="F")
+            info = optim._dpotrf(a)
+            return info, a.tobytes(order="F"), optim._dpotrs(a, b.copy()).tobytes()
+
+        assert map_trials(factor_and_solve, 16, workers=2) == \
+            [factor_and_solve(t) for t in range(16)]
+
+    @pytest.mark.parametrize("case", ["c_order", "float32", "strided", "non_square",
+                                      "read_only", "list"])
+    def test_factor_rejects_unsafe_arrays(self, case):
+        G = np.array([[4.0, 1.0, 0.5], [2.0, 3.0, 0.25], [1.0, 0.0, 2.0]])
+        a = {"c_order": G,
+             "float32": np.asfortranarray(G, dtype=np.float32),
+             "strided": np.asfortranarray(np.kron(G, np.ones((2, 2))))[::2, ::2],
+             "non_square": np.asfortranarray(G[:, :2]),
+             "read_only": np.asfortranarray(G),
+             "list": G.tolist()}[case]
+        if case == "read_only":
+            a.flags.writeable = False
+        before = copy.deepcopy(a)
+        with pytest.raises(ValueError, match="writeable Fortran-contiguous float64"):
+            optim._dpotrf(a)
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("case", ["c_order", "float32", "strided", "rows", "factor"])
+    def test_solve_rejects_unsafe_arrays(self, case):
+        factor = np.asfortranarray(np.diag([2.0, 3.0, 4.0]))
+        B = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        factor, b = {"c_order": (factor, np.ascontiguousarray(B)),
+                     "float32": (factor, B.astype(np.float32)),
+                     "strided": (factor, np.arange(6.0)[::2]),
+                     "rows": (factor, np.ones(4)),
+                     "factor": (np.ascontiguousarray(factor), B)}[case]
+        before = b.copy()
+        with pytest.raises(ValueError, match="writeable Fortran-contiguous float64"):
+            optim._dpotrs(factor, b)
+        assert np.array_equal(b, before)
+
+    @pytest.mark.parametrize("m", [300, 600])
+    def test_lambda_min_matches_f2py_path(self, m, monkeypatch):
+        X = np.random.default_rng(m).standard_normal((m, 2 * m))
+        G = X @ X.T
+        rho = gram_lambda_min(G)
+        monkeypatch.setattr(optim, "_dpotrf", f2py_cholesky_in_place)
+        monkeypatch.setattr(optim, "_dpotrs", f2py_cholesky_solve)
+        assert gram_lambda_min(G).hex() == rho.hex()
+
+    def test_signature_mismatch_raises_import_error(self, monkeypatch):
+        ilp64 = ("void (char *, int64_t *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, "
+                 "int64_t *, int64_t *)")
+        with pytest.raises(ImportError, match=f"scipy {scipy.__version__}.*dpotrf"):
+            optim._lapack_routine("dpotrf", ilp64)
+        # a capsule that declares another signature than the binding assumes
+        name = ilp64.encode()
+        new_capsule = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
+                                        ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
+        monkeypatch.setitem(cython_lapack.__pyx_capi__, "dpotrf", new_capsule(1, name, None))
+        with pytest.raises(ImportError, match="LP64"):
+            optim._lapack_routine("dpotrf", optim._SIGNATURES["dpotrf"])
