@@ -39,6 +39,7 @@ from .learner import (  # noqa: F401
     LearningCurve,
     adversarial_minimizer,
     empirical_sample_complexity,
+    estimate_lstar,
     generative_nearest_mean,
     learning_curve,
     margin_error_minimize,

@@ -11,7 +11,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -21,6 +21,7 @@ from .dist import DistributionSpec, paper_example
 from .learner import (
     curve_grid,
     empirical_sample_complexity,
+    estimate_lstar,
     learning_curve,
     read_curve_csv,
     write_curve_csv,
@@ -194,13 +195,13 @@ def run(config: ExperimentConfig, out_dir: Path) -> dict:
         curve = learning_curve(spec, float(p["gamma"]), p["m_grid"],
                                int(p["trials"]), p["learner"], int(p["seed"]), workers)
         write_curve_csv(out("learning_curve.csv"), curve)
-        summary = {"lstar": curve.lstar,
+        summary = {"lstar": estimate_lstar(spec, float(p["gamma"]), int(p["seed"])),
                    "entries": [{"m": e.m, "mean_test_error": e.mean_test_error}
                                for e in curve.entries]}
     elif config.command == "sample-complexity":
-        curve = replace(read_curve_csv(p["curve_csv"]), lstar=float(p["lstar"]))
-        found = empirical_sample_complexity(curve, float(p["epsilon"]))
-        summary = {"epsilon": float(p["epsilon"]), "lstar": curve.lstar,
+        found = empirical_sample_complexity(read_curve_csv(p["curve_csv"]), float(p["lstar"]),
+                                            float(p["epsilon"]))
+        summary = {"epsilon": float(p["epsilon"]), "lstar": float(p["lstar"]),
                    "m": found, "reached": found is not None}
     elif config.command == "reproduce-examples":
         summary = reproduce_examples(
@@ -240,8 +241,9 @@ def reproduce_examples(out, seed: int, workers: int = 1,
     curve = learning_curve(spec, 1.0, [4, 8, 16, 24, 32, 40], trials=10,
                            learner_kind="erm_heuristic", seed=seed, workers=workers)
     write_curve_csv(out("spiky_curve.csv"), curve)
+    mc = empirical_sample_complexity(curve, estimate_lstar(spec, 1.0, seed), 0.15)
     table.append({"example": "spiky", "d": 1001, "gamma": 1.0, "k_gamma": k1,
-                  "sample_complexity_eps_0.15": empirical_sample_complexity(curve, 0.15)})
+                  "sample_complexity_eps_0.15": mc})
 
     # (b) sign-vector coordinates: complexity linear in dimension
     complexities = {}
@@ -255,7 +257,7 @@ def reproduce_examples(out, seed: int, workers: int = 1,
         curve = learning_curve(spec, 1.0, grid, trials=20,
                                learner_kind="erm_heuristic", seed=seed, workers=workers)
         write_curve_csv(out(f"bernoulli_d{d}_curve.csv"), curve)
-        mc = empirical_sample_complexity(curve, 0.15)
+        mc = empirical_sample_complexity(curve, estimate_lstar(spec, 1.0, seed), 0.15)
         complexities[d] = mc
         table.append({"example": "bernoulli", "d": d, "gamma": 1.0, "k_gamma": k1,
                       "sample_complexity_eps_0.15": mc})

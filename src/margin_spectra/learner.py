@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -84,11 +82,10 @@ class CurveEntry:
 
 @dataclass(frozen=True)
 class LearningCurve:
+    """Mean test error per grid size: exactly what write_curve_csv writes."""
     gamma: float
     entries: tuple
     learner_kind: str
-    distribution_digest: str
-    lstar: float | None  # margin-loss proxy of the known best separator, if any
     seed: int
 
 
@@ -331,23 +328,19 @@ def learning_curve(spec: DistributionSpec, gamma: float, m_grid, trials: int,
                                std_error=float(e.std(ddof=1) / math.sqrt(trials))
                                if trials > 1 else 0.0, trials=trials)
                     for m, e in zip(m_grid, errs))
-    digest = hashlib.sha256(
-        json.dumps(spec.to_json(), sort_keys=True).encode()).hexdigest()[:16]
-    return LearningCurve(gamma=float(gamma), entries=entries,
-                         learner_kind=learner_kind, distribution_digest=digest,
-                         lstar=estimate_lstar(spec, gamma, seed), seed=seed)
+    return LearningCurve(gamma=float(gamma), entries=entries, learner_kind=learner_kind,
+                         seed=seed)
 
 
-def empirical_sample_complexity(curve: LearningCurve, epsilon: float) -> int | None:
-    """Smallest grid m with mean test error within epsilon of the lstar proxy;
-    None when the curve never gets there."""
-    if curve.lstar is None:
-        raise ValueError("curve has no lstar estimate")
+def empirical_sample_complexity(curve: LearningCurve, lstar: float,
+                                epsilon: float) -> int | None:
+    """Smallest grid m whose mean test error is within epsilon of lstar (the
+    best margin loss, or a proxy such as estimate_lstar's); None when no grid
+    size gets there.  The grid may be in any order."""
+    check_unit("lstar", lstar, closed=True)
     check_unit("epsilon", epsilon)
-    for e in curve.entries:
-        if e.mean_test_error - curve.lstar <= epsilon:
-            return e.m
-    return None
+    return min((e.m for e in curve.entries if e.mean_test_error - lstar <= epsilon),
+               default=None)
 
 
 def write_curve_csv(path, curve: LearningCurve) -> None:
@@ -362,13 +355,12 @@ def write_curve_csv(path, curve: LearningCurve) -> None:
 
 
 def read_curve_csv(path) -> LearningCurve:
-    """Read a curve written by write_curve_csv, without lstar or digest (the
-    CSV holds neither); a file with no entries reads as gamma nan, seed 0."""
+    """Read a curve written by write_curve_csv; a file with no entries reads
+    as gamma nan, seed 0."""
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     head = rows[0] if rows else {"gamma": "nan", "learner_kind": "", "seed": "0"}
     return LearningCurve(
         gamma=float(head["gamma"]), learner_kind=head["learner_kind"], seed=int(head["seed"]),
         entries=tuple(CurveEntry(int(r["m"]), float(r["mean_test_error"]),
-                                 float(r["std_error"]), int(r["trials"])) for r in rows),
-        distribution_digest="", lstar=None)
+                                 float(r["std_error"]), int(r["trials"])) for r in rows))

@@ -121,37 +121,37 @@ _potrf = _lapack_routine("dpotrf", _SIGNATURES["dpotrf"])
 _potrs = _lapack_routine("dpotrs", _SIGNATURES["dpotrs"])
 
 
-def _lapack_columns(a: np.ndarray, rows: int | None = None) -> int:
-    """Columns of `a` after checking that LAPACK may read and write it through
+def _lapack_rows(a: np.ndarray, rows: int | None = None) -> int:
+    """Rows of `a` after checking that LAPACK may read and write it through
     its data pointer: a writeable Fortran-contiguous float64 array, square when
-    `rows` is None, else a vector or matrix with `rows` rows."""
+    `rows` is None, else a vector of length `rows`."""
     if not (isinstance(a, np.ndarray) and a.dtype == np.float64
             and a.flags.f_contiguous and a.flags.writeable
             and (a.ndim == 2 and a.shape[0] == a.shape[1] if rows is None
-                 else a.ndim in (1, 2) and a.shape[0] == rows)):
-        shape = "a square matrix" if rows is None else f"an array with {rows} rows"
+                 else a.shape == (rows,))):
+        shape = "a square matrix" if rows is None else f"a vector of length {rows}"
         raise ValueError(f"LAPACK needs {shape} of writeable Fortran-contiguous "
                          f"float64, got {getattr(a, 'dtype', type(a).__name__)} "
                          f"of shape {getattr(a, 'shape', None)}")
-    return 1 if a.ndim == 1 else a.shape[1]
+    return a.shape[0]
 
 
 def _dpotrf(a: np.ndarray) -> int:
     """LAPACK dpotrf in place: the lower triangle of `a` becomes its Cholesky
     factor (the strict upper triangle is left as it was).  Returns info: 0 on
     success, else the order of the leading minor that is not positive definite."""
-    n = _lapack_columns(a)
+    n = _lapack_rows(a)
     info = ctypes.c_int(0)
     _potrf(b"L", ctypes.c_int(n), a.ctypes.data, ctypes.c_int(max(1, n)), info)
     return info.value
 
 
 def _dpotrs(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """LAPACK dpotrs in place: `b` becomes A^{-1} b, for the lower Cholesky
-    factor of A that _dpotrf made, and is returned."""
-    n = _lapack_columns(factor)
-    nrhs = _lapack_columns(b, rows=n)
-    _potrs(b"L", ctypes.c_int(n), ctypes.c_int(nrhs), factor.ctypes.data,
+    """LAPACK dpotrs in place: vector `b` becomes A^{-1} b, for the lower
+    Cholesky factor of A that _dpotrf made, and is returned."""
+    n = _lapack_rows(factor)
+    _lapack_rows(b, rows=n)
+    _potrs(b"L", ctypes.c_int(n), ctypes.c_int(1), factor.ctypes.data,
            ctypes.c_int(max(1, n)), b.ctypes.data, ctypes.c_int(max(1, n)), ctypes.c_int(0))
     return b
 

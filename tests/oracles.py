@@ -1,7 +1,5 @@
 """Reference implementations the test modules check the package against."""
 
-import hashlib
-import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -33,7 +31,6 @@ from margin_spectra.learner import (
     NotShatteredError,
     _below_margin,
     _run_learner,
-    estimate_lstar,
 )
 from margin_spectra.optim import (
     FEAS_TOL,
@@ -394,8 +391,5 @@ def per_size_learning_curve(spec: DistributionSpec, gamma: float, m_grid, trials
                                   std_error=float(errs.std(ddof=1) / math.sqrt(trials))
                                   if trials > 1 else 0.0,
                                   trials=trials))
-    digest = hashlib.sha256(
-        json.dumps(spec.to_json(), sort_keys=True).encode()).hexdigest()[:16]
     return LearningCurve(gamma=float(gamma), entries=tuple(entries),
-                         learner_kind=learner_kind, distribution_digest=digest,
-                         lstar=estimate_lstar(spec, gamma, seed), seed=seed)
+                         learner_kind=learner_kind, seed=seed)

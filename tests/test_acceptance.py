@@ -225,21 +225,21 @@ def test_criterion_08_shattered_not_learned(report):
 
 
 def test_criterion_09_upper_bound_scaling(report):
-    from margin_spectra.learner import empirical_sample_complexity
+    from margin_spectra.learner import empirical_sample_complexity, estimate_lstar
 
     t0 = time.perf_counter()
-    spiky = learning_curve(paper_example("spiky", d=1001), 1.0,
-                           [4, 8, 16, 24, 32, 40], trials=10,
+    spec = paper_example("spiky", d=1001)
+    spiky = learning_curve(spec, 1.0, [4, 8, 16, 24, 32, 40], trials=10,
                            learner_kind="erm_heuristic", seed=123, workers=4)
-    spiky_mc = empirical_sample_complexity(spiky, 0.15)
+    spiky_mc = empirical_sample_complexity(spiky, estimate_lstar(spec, 1.0, 123), 0.15)
 
     grid = [4, 6, 8, 10, 12, 16, 20, 24, 28, 32, 40, 48, 56, 64]
     mcs = {}
     for d in (20, 40):
-        curve = learning_curve(paper_example("bernoulli", d=d), 1.0, grid,
-                               trials=20, learner_kind="erm_heuristic",
+        spec = paper_example("bernoulli", d=d)
+        curve = learning_curve(spec, 1.0, grid, trials=20, learner_kind="erm_heuristic",
                                seed=123, workers=4)
-        mcs[d] = empirical_sample_complexity(curve, 0.15)
+        mcs[d] = empirical_sample_complexity(curve, estimate_lstar(spec, 1.0, 123), 0.15)
     ratio = (mcs[40] / mcs[20]) if (mcs[20] and mcs[40]) else math.inf
     elapsed = time.perf_counter() - t0
     ok = (spiky_mc is not None and spiky_mc <= 40

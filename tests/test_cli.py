@@ -128,6 +128,18 @@ class TestRun:
         assert report["summary"]["m"] == 20
         assert report["summary"]["reached"] is True
 
+    def test_sample_complexity_unsorted_csv_gives_smallest_m(self, tmp_path):
+        curve_path = tmp_path / "curve.csv"
+        curve_path.write_text(
+            "m,mean_test_error,std_error,trials,learner_kind,gamma,seed\n"
+            "8,0.1,0.0,10,erm_heuristic,1.0,0\n"
+            "4,0.1,0.0,10,erm_heuristic,1.0,0\n"
+            "6,0.3,0.0,10,erm_heuristic,1.0,0\n")
+        report = run(ExperimentConfig("sample-complexity", {
+            "curve_csv": str(curve_path), "lstar": 0, "epsilon": 0.15}),
+            tmp_path / "out")
+        assert report["summary"] == {"epsilon": 0.15, "lstar": 0.0, "m": 4, "reached": True}
+
     def test_sample_complexity_header_only_not_reached(self, tmp_path):
         curve_path = tmp_path / "curve.csv"
         curve_path.write_text("m,mean_test_error,std_error,trials,learner_kind,gamma,seed\n")

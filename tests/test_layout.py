@@ -1,10 +1,12 @@
 """Layout rules for the package source."""
 
 import ctypes
+import dataclasses
 import re
 from pathlib import Path
 
 from margin_spectra import optim
+from margin_spectra.learner import LearningCurve
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "margin_spectra"
 
@@ -87,3 +89,10 @@ def test_draw_order_only_in_dist():
     kinds = r"gaussian|rademacher|uniform_symmetric|gaussian_mixture_symmetric"
     assert re.findall(rf"""["']({kinds})["']""", source) == []
     assert re.findall(r"\b(LAW_KINDS|GAUSSIAN|RADEMACHER|UNIFORM_SYMMETRIC)\b", source) == []
+
+
+def test_learning_curve_holds_what_its_csv_holds():
+    """A LearningCurve has the fields write_curve_csv writes and no L* or spec
+    digest: a caller that scores a curve estimates L* itself."""
+    assert [f.name for f in dataclasses.fields(LearningCurve)] == \
+        ["gamma", "entries", "learner_kind", "seed"]

@@ -522,6 +522,14 @@ class TestLearningCurve:
         assert maps == [3]
         assert sorted(draws) == [(8, s) for s in range(6)]
 
+    def test_estimates_no_lstar(self, monkeypatch):
+        def no_lstar(*args, **kwargs):
+            raise AssertionError("learning_curve estimated L*")
+
+        monkeypatch.setattr(learner, "estimate_lstar", no_lstar)
+        learning_curve(paper_example("bernoulli", d=8), 1.0, [4, 8], trials=2,
+                       learner_kind="erm_heuristic", seed=1)
+
     @pytest.mark.parametrize("grid", [[4, 0], [-1, 4], [0]])
     def test_grid_size_below_one_raises_before_drawing(self, grid, monkeypatch):
         monkeypatch.setattr(learner, "sample", None)  # any draw would fail differently
@@ -554,31 +562,36 @@ class TestLearningCurve:
 
 
 class TestSampleComplexity:
-    def make_curve(self, entries, lstar):
+    def make_curve(self, entries):
         from margin_spectra.learner import CurveEntry, LearningCurve
         return LearningCurve(
             gamma=1.0,
             entries=tuple(CurveEntry(m=m, mean_test_error=err, std_error=0.0,
                                      trials=10) for m, err in entries),
-            learner_kind="erm_exact", distribution_digest="x", lstar=lstar, seed=0)
+            learner_kind="erm_exact", seed=0)
 
     def test_threshold_scan(self):
-        curve = self.make_curve([(10, 0.30), (20, 0.10)], lstar=0.02)
-        assert empirical_sample_complexity(curve, 0.1) == 20
+        curve = self.make_curve([(10, 0.30), (20, 0.10)])
+        assert empirical_sample_complexity(curve, 0.02, 0.1) == 20
+
+    def test_smallest_m_in_any_grid_order(self):
+        curve = self.make_curve([(8, 0.1), (4, 0.1), (6, 0.3), (4, 0.1)])
+        assert empirical_sample_complexity(curve, 0.0, 0.15) == 4
 
     def test_not_reached(self):
-        curve = self.make_curve([(10, 0.30), (20, 0.25)], lstar=0.02)
-        assert empirical_sample_complexity(curve, 0.1) is None
+        curve = self.make_curve([(10, 0.30), (20, 0.25)])
+        assert empirical_sample_complexity(curve, 0.02, 0.1) is None
 
     def test_requires_lstar(self):
-        curve = self.make_curve([(10, 0.30)], lstar=None)
-        with pytest.raises(ValueError):
-            empirical_sample_complexity(curve, 0.1)
+        curve = self.make_curve([(10, 0.30)])
+        for lstar in (1.5, -0.1, math.nan, True, None):
+            with pytest.raises(ValueError, match=r"lstar must be a number in \[0, 1\]"):
+                empirical_sample_complexity(curve, lstar, 0.1)
 
     def test_rejects_bad_epsilon(self):
-        curve = self.make_curve([(10, 0.30)], lstar=0.02)
+        curve = self.make_curve([(10, 0.30)])
         with pytest.raises(ValueError):
-            empirical_sample_complexity(curve, 0.0)
+            empirical_sample_complexity(curve, 0.02, 0.0)
 
 
 def test_curve_csv_determinism(tmp_path):
@@ -595,11 +608,10 @@ def test_curve_csv_determinism(tmp_path):
 
 
 def test_curve_csv_roundtrip(tmp_path):
-    curve = TestSampleComplexity().make_curve([(4, 1 / 3), (8, 0.1 + 0.2)], lstar=0.05)
+    curve = TestSampleComplexity().make_curve([(4, 1 / 3), (8, 0.1 + 0.2)])
     curve = replace(curve, gamma=0.7, seed=2**63 - 1)
     path = tmp_path / "curve.csv"
     write_curve_csv(path, curve)
-    assert read_curve_csv(path) == replace(curve, distribution_digest="", lstar=None)
+    assert read_curve_csv(path) == curve
     path.write_text(path.read_text().splitlines()[0] + "\n")
-    empty = read_curve_csv(path)
-    assert empty.entries == () and empty.lstar is None
+    assert read_curve_csv(path).entries == ()
